@@ -1,8 +1,8 @@
 //! Micro-benchmark for the engine-backed fleet pipeline: the batched
-//! group-eval path against the retained per-node reference, a serial
-//! vs parallel packing sweep, and the registry-wide cache counters
-//! accumulated across every case (the service-loop picture: one
-//! registry serves all requests).
+//! group-eval path against the serial per-node reference, a serial
+//! vs parallel sweep of the 4-node shards, and the registry-wide cache
+//! counters accumulated across every case (the service-loop picture:
+//! one registry serves all requests).
 //!
 //! Writes the measured baseline to `BENCH_fleet.json` (pass an output
 //! path as the first argument to override; `--threads 1,2,4` overrides
@@ -168,11 +168,11 @@ fn main() {
     });
     let ep_stats = ep_base.episodes.expect("episode stats");
 
-    // Budget-arbitrated episode fleet: the tick-synchronous three-phase
-    // pass (propose parallel, arbitrate serial, apply parallel) under a
-    // binding facility budget. Uniform horizon here — with the fat
-    // slice's 16k-tick tail, 87.5 % of the ticks would have only 15
-    // active nodes and the arbiter would mostly idle. All 128 nodes
+    // Budget-arbitrated episode fleet: the tick-synchronous pass
+    // (shards propose in parallel, the merge arbitrates and applies
+    // serially) under a binding facility budget. Uniform horizon here
+    // — with the fat slice's 16k-tick tail, 87.5 % of the ticks would
+    // have only 15 active nodes and the arbiter would mostly idle. All 128 nodes
     // stay active for all 2000 ticks, and 18 kW sits between the floor
     // sum (~10.7 kW) and the unconstrained mean draw (~18.7 kW), so
     // the arbiter works every tick.

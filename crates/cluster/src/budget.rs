@@ -3,13 +3,14 @@
 //! [`FleetConfig::power_cap_w`](crate::fleet::FleetConfig::power_cap_w)
 //! caps each node *locally*; real facility power management caps the
 //! *sum* of node draws. This module is the serial heart of the
-//! tick-synchronous three-phase fleet pass: every node first proposes
-//! its 60 s tick from its own deterministic `(seed, node_id)` stream
-//! (parallel), then [`arbitrate`] folds the proposals against the
-//! remaining per-tick budget in node-id order (serial), and the
-//! decisions are applied back to samples (parallel). Because the fold
-//! consumes proposals in a fixed order and touches no RNG, the outcome
-//! is bitwise-identical for any sweep thread count.
+//! tick-synchronous fleet pass: every node first proposes its 60 s
+//! ticks from its own deterministic `(seed, node_id)` stream (in
+//! shards, on any thread), then the shard merge runs [`arbitrate`],
+//! which folds the proposals against the remaining per-tick budget in
+//! node-id order, and applies the decisions back to samples in one
+//! serial pass. Because the fold consumes proposals in a fixed order
+//! and touches no RNG, the outcome is bitwise-identical for any shard
+//! split or thread count.
 //!
 //! Idle floors are **unconditional**: a powered-on node draws its idle
 //! floor whether or not the arbiter admits its proposal (a facility

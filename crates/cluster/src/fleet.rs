@@ -13,17 +13,22 @@
 //! [`crate::episodes`], which adds dwell times, ramps and hand-backs
 //! to the idle floor — the time correlation real traces show.
 //!
-//! Generation is a tick-synchronous three-phase pass: (1) **propose** —
-//! every node draws its full tick stream from its own `(seed, node_id)`
-//! RNG stream, fanned out over [`fs2_core::Engine::sweep_hinted`] with
-//! per-node size hints; (2) **arbitrate** — when
-//! [`FleetConfig::budget_w`] is set, a serial node-id-ordered fold
-//! ([`crate::budget`]) admits proposals against the remaining fleet
-//! budget per 60 s tick and sheds or defers the rest; (3) **apply** —
-//! decisions become samples in parallel. Every phase is deterministic,
-//! so the result is bitwise-identical for any thread count, and runs
-//! without a budget reproduce the historical sample streams byte for
-//! byte.
+//! Every run is one path: [`FleetSim::plan`] evaluates the operating
+//! points once, [`FleetSim::run_shard`] proposes a contiguous node
+//! range from the plan, and [`FleetSim::try_merge_shards`] reassembles
+//! the shards. One-shot runs ([`FleetSim::run_with`]) cut the fleet
+//! into 4-node shards and fan them out over
+//! [`fs2_core::Engine::sweep_hinted`]; the fleet service scatters its
+//! own shard ranges on its worker pool. A shard proposes each node's
+//! full tick stream from its own `(seed, node_id)` RNG stream. The
+//! merge then (1) **arbitrates** — when [`FleetConfig::budget_w`] is
+//! set, a serial node-id-ordered fold ([`crate::budget`]) admits
+//! proposals against the remaining fleet budget per 60 s tick and
+//! sheds or defers the rest — and (2) **applies** the decisions to the
+//! streams in one serial pass. Every phase is deterministic, so the
+//! result is bitwise-identical for any thread count and shard split,
+//! and runs without a budget reproduce the historical sample streams
+//! byte for byte.
 
 use crate::budget::{arbitrate, Arbitration, BudgetPolicy, Decision, NodeStream};
 use crate::episodes::{EpisodeModel, EpisodeWalk};
@@ -31,7 +36,6 @@ use crate::jobs::JobMix;
 use fs2_core::{EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::Mutex;
 
 /// One homogeneous slice of the fleet.
 #[derive(Debug, Clone)]
@@ -40,7 +44,7 @@ pub struct NodeGroup {
     pub nodes: u32,
     /// Overrides [`FleetConfig::samples_per_node`] for this group
     /// (e.g. a slice monitored at a higher rate) — this is what makes
-    /// per-node size hints matter to the sweep packing.
+    /// the shard size hints matter to the sweep packing.
     pub samples_per_node: Option<u32>,
 }
 
@@ -72,8 +76,10 @@ pub struct FleetConfig {
     /// [`TemporalMode::Episodes`]; ignored in i.i.d. mode.
     pub episodes: EpisodeModel,
     pub seed: u64,
-    /// Sweep worker threads; 0 = host parallelism, 1 = serial. The
-    /// samples are identical either way.
+    /// Threads [`FleetSim::run_with`] spreads its 4-node shards over;
+    /// 0 = host parallelism, 1 = serial. The samples are identical
+    /// either way. The fleet service ignores it: served shards run on
+    /// the service's worker pool.
     pub threads: usize,
     /// Facility-side clamp, W (the paper's observed 359.9 W maximum).
     pub cap_w: f64,
@@ -394,7 +400,7 @@ pub struct FleetRun {
     pub budget: Option<BudgetStats>,
 }
 
-/// Per-node work item handed to the sweep.
+/// Per-node work item of a plan; a shard covers a contiguous run.
 struct NodeItem {
     sku_idx: usize,
     /// Fleet-global node id (stable across thread counts).
@@ -545,13 +551,17 @@ fn rng_for(seed: u64, node_id: u32) -> StdRng {
     StdRng::seed_from_u64(seed ^ (u64::from(node_id).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
+/// Nodes drawn side by side by [`lockstep_fill`], and so the shard
+/// width of [`FleetSim::run_with`].
+const LOCKSTEP_NODES: u32 = 4;
+
 /// Draws every sample of up to four node slices in lockstep: the
 /// per-sample critical path is the serial xoshiro/convert/compare
 /// chain, and the extra independent streams fill its pipeline bubbles.
 /// Per-node draw sequences and output slices are untouched, so the
 /// bytes match the one-stream-at-a-time reference exactly. Returns the
-/// number of cap-remapped samples. Shared by the whole-fleet fast path
-/// and the shard layer.
+/// number of cap-remapped samples. [`FleetSim::run_shard`] calls it for
+/// unbudgeted i.i.d. shards, four nodes at a time.
 fn lockstep_fill(mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])>, cap: f64) -> usize {
     let mut capped_samples = 0usize;
     // Four-stream lockstep over the shortest slice.
@@ -810,17 +820,49 @@ impl FleetSim {
     /// [`FleetSim::run`] whenever the registry was created with the
     /// fleet's seed (the engine seed keys the cached functional
     /// passes).
+    ///
+    /// The run is plan → shards → merge, the path the fleet service
+    /// takes: the fleet is cut into 4-node (lockstep-width) shards,
+    /// which [`fs2_core::Engine::sweep_hinted`] runs on
+    /// [`FleetConfig::threads`] threads, longest shard first.
     pub fn run_with(&self, registry: &EngineRegistry) -> FleetRun {
-        self.run_inner(registry, true)
+        let plan = self.plan(registry);
+        let n = plan.total_nodes();
+        let ranges: Vec<(u32, u32)> = (0..n)
+            .step_by(LOCKSTEP_NODES as usize)
+            .map(|lo| (lo, n.min(lo + LOCKSTEP_NODES)))
+            .collect();
+        // Any engine can host the sweep; shards only read the plan.
+        let driver = registry.engine(&self.config.groups[0].sku);
+        let shards = driver.sweep_hinted(
+            &ranges,
+            self.config.threads,
+            |_, &(lo, hi)| {
+                plan.items[lo as usize..hi as usize]
+                    .iter()
+                    .map(|it| u64::from(it.samples))
+                    .sum()
+            },
+            |_, _, &(lo, hi)| self.run_shard(&plan, lo, hi),
+        );
+        self.merge_shards(registry, &plan, shards)
     }
 
-    /// The pre-batching per-node path: every sample draw goes through
-    /// the [`JobMix`]/[`crate::jobs::JobClass`] API and the nested
-    /// power tables, exactly as the historical hot loop did. Retained
-    /// as the golden baseline the batched composer is pinned against
-    /// bit-for-bit (and as the bench's per-node speedup reference).
+    /// The pre-batching per-node path, serial: every sample draw goes
+    /// through the [`JobMix`]/[`crate::jobs::JobClass`] API and the
+    /// nested power tables, exactly as the historical hot loop did.
+    /// Kept as the single oracle the batched composer is pinned
+    /// against bit-for-bit (and as the bench's per-node speedup
+    /// reference).
     pub fn run_reference(&self) -> FleetRun {
-        self.run_inner(&EngineRegistry::with_seed(self.config.seed), false)
+        let registry = EngineRegistry::with_seed(self.config.seed);
+        let plan = self.plan(&registry);
+        let per_node = plan
+            .items
+            .iter()
+            .map(|item| self.propose_reference(&plan, item))
+            .collect();
+        self.finish(&registry, &plan, per_node)
     }
 
     /// Builds the request-shared generation plan: one batched
@@ -1054,135 +1096,10 @@ impl FleetSim {
         }
     }
 
-    fn run_inner(&self, registry: &EngineRegistry, batched: bool) -> FleetRun {
-        let cfg = &self.config;
-        let plan = self.plan(registry);
-        let cap = cfg.cap_w;
-        let seed = cfg.seed;
-        let lanes = &plan.lanes;
-        // Any engine can host the sweep; the workers only read the
-        // precomputed tables (the &Engine argument goes unused).
-        let driver = registry.engine(&cfg.groups[0].sku);
-
-        // Fast path — unbudgeted i.i.d. runs (the CDF and bench
-        // workload): every node writes its samples straight into the
-        // final fleet buffer through per-node disjoint slices, so the
-        // per-node stream Vecs, the state-label column and the final
-        // flatten copy disappear. Draw streams and slice order match
-        // the per-node reference path, so the output bytes are
-        // identical.
-        if batched && cfg.temporal == TemporalMode::Iid && cfg.budget_w.is_none() {
-            let total_n: usize = plan.items.iter().map(|it| it.samples as usize).sum();
-            let mut samples = vec![0.0f64; total_n];
-            struct FillNode<'a> {
-                sku_idx: usize,
-                node_id: u32,
-                out: Mutex<Option<&'a mut [f64]>>,
-            }
-            // Nodes are grouped in fours so one worker draws four
-            // independent RNG streams in lockstep: the per-sample
-            // critical path is the serial xoshiro/convert/compare
-            // chain, and the extra streams fill its pipeline bubbles.
-            // Per-node draws and output slices are untouched, so the
-            // bytes can't change.
-            struct FillUnit<'a> {
-                nodes: Vec<FillNode<'a>>,
-                samples: u32,
-            }
-            let nodes: Vec<FillNode<'_>> = {
-                let mut rest = samples.as_mut_slice();
-                plan.items
-                    .iter()
-                    .map(|it| {
-                        let (head, tail) =
-                            std::mem::take(&mut rest).split_at_mut(it.samples as usize);
-                        rest = tail;
-                        FillNode {
-                            sku_idx: it.sku_idx,
-                            node_id: it.node_id,
-                            out: Mutex::new(Some(head)),
-                        }
-                    })
-                    .collect()
-            };
-            let count = |n: &FillNode<'_>| {
-                n.out
-                    .lock()
-                    .expect("slice handoff mutex")
-                    .as_ref()
-                    .map_or(0, |s| {
-                        u32::try_from(s.len()).expect("per-node sample counts are u32")
-                    })
-            };
-            let mut units: Vec<FillUnit<'_>> = Vec::with_capacity(nodes.len().div_ceil(4));
-            let mut nodes = nodes.into_iter().peekable();
-            while nodes.peek().is_some() {
-                let chunk: Vec<FillNode<'_>> = nodes.by_ref().take(4).collect();
-                let samples = chunk.iter().map(&count).sum();
-                units.push(FillUnit {
-                    nodes: chunk,
-                    samples,
-                });
-            }
-            fn take<'a>(n: &FillNode<'a>) -> &'a mut [f64] {
-                n.out
-                    .lock()
-                    .expect("slice handoff mutex")
-                    .take()
-                    .expect("each node is filled once")
-            }
-            let capped: Vec<usize> = driver.sweep_hinted(
-                &units,
-                cfg.threads,
-                |_, u| u64::from(u.samples),
-                move |_, _, u| {
-                    let parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = u
-                        .nodes
-                        .iter()
-                        .map(|n| (&lanes[n.sku_idx], rng_for(seed, n.node_id), take(n)))
-                        .collect();
-                    lockstep_fill(parts, cap)
-                },
-            );
-            drop(units);
-            return FleetRun {
-                samples,
-                registry: registry.stats(),
-                power_table: plan.power_table,
-                episodes: None,
-                capped_points: plan.capped_points,
-                capped_samples: capped.iter().sum(),
-                infeasible_points: plan.infeasible_points,
-                budget: None,
-            };
-        }
-
-        // Phase 1 — propose (parallel): every node draws its full tick
-        // stream from its own `(seed, node_id)` RNG stream. The draws
-        // and the composed watts are identical to the historical
-        // per-node generation, so runs without a budget stay
-        // byte-stable. The batched composer and the per-node reference
-        // path are pinned bit-identical by the regression tests below.
-        let plan_ref = &plan;
-        let per_node: Vec<NodeOut> = driver.sweep_hinted(
-            &plan.items,
-            cfg.threads,
-            |_, item| u64::from(item.samples),
-            move |_, _, item| {
-                if batched {
-                    self.propose_batched(plan_ref, item)
-                } else {
-                    self.propose_reference(plan_ref, item)
-                }
-            },
-        );
-        self.finish(registry, &plan, per_node)
-    }
-
     /// Proposes one node's stream through the batched composer (the
     /// production path: flattened [`SkuLanes`] draws in i.i.d. mode,
-    /// the episode walk otherwise). Also the shard layer's per-node
-    /// propose, so sharded runs share every draw with the serial path.
+    /// the episode walk otherwise) for shards that keep per-node
+    /// streams.
     fn propose_batched(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
         match self.config.temporal {
             TemporalMode::Iid => self.propose_iid_batched(plan, item),
@@ -1201,9 +1118,9 @@ impl FleetSim {
     }
 
     fn propose_iid_batched(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        // Unbudgeted whole-fleet Iid runs take the direct-fill fast
-        // path in `run_inner`, so this arm feeds the budget arbiter
-        // and the shard layer, which keep state labels.
+        // Unbudgeted i.i.d. shards fill their samples directly through
+        // `lockstep_fill`; this arm feeds the budget arbiter, which
+        // needs the state labels.
         let cap = self.config.cap_w;
         let l = &plan.lanes[item.sku_idx];
         let mut capped_samples = 0usize;
@@ -1307,10 +1224,11 @@ impl FleetSim {
         }
     }
 
-    /// Phases 2 + 3 over already-proposed node streams: arbitrate the
-    /// fleet budget in node-id order, apply decisions, and fold the
-    /// episode/budget accounting. Shared verbatim by the whole-fleet
-    /// path and the shard merge, so both produce identical bytes.
+    /// Arbitrate and apply over already-proposed node streams:
+    /// arbitrate the fleet budget in node-id order, apply decisions,
+    /// and fold the episode/budget accounting. Shared by the shard
+    /// merge and the serial reference, so both produce identical
+    /// bytes.
     fn finish(
         &self,
         registry: &EngineRegistry,
@@ -1319,48 +1237,57 @@ impl FleetSim {
     ) -> FleetRun {
         let cfg = &self.config;
         let classes = cfg.mix.classes();
-        let driver = registry.engine(&cfg.groups[0].sku);
 
         // Per-sample cap accounting is summed in node input order, so
-        // the total is identical for any sweep thread count.
+        // the total is identical for any shard split.
         let capped_samples: usize = per_node.iter().map(|n| n.capped_samples).sum();
         let (streams, accounting): (Vec<NodeStream>, Vec<NodeAccounting>) = per_node
             .into_iter()
             .map(|n| (n.stream, (n.state_ticks, n.episode_counts)))
             .unzip();
 
-        // Phase 2 — arbitrate (serial): fold the proposals against the
-        // fleet budget in node-id order. Skipped entirely without a
-        // budget, which keeps the historical streams byte-stable.
+        // Arbitrate (serial): fold the proposals against the fleet
+        // budget in node-id order. Skipped entirely without a budget,
+        // which keeps the historical streams byte-stable.
         let n_states = classes.len() + 1;
         let arbitration: Option<Arbitration> = cfg
             .budget_w
             .map(|b| arbitrate(&streams, b, cfg.budget_policy, n_states));
 
-        // Phase 3 — apply: decisions become samples. Each node only
-        // reads its own stream and decision row, so the budgeted
-        // fan-out is embarrassingly parallel and input-ordered. With
-        // no budget every decision is trivially "admit", so the watts
-        // columns *move* into the output — zero copies, exactly the
-        // historical unbudgeted cost.
-        let per_node_samples: Vec<Vec<f64>> = match &arbitration {
-            None => streams.into_iter().map(|s| s.watts).collect(),
-            Some(arb) => {
-                let streams_ref = &streams;
-                driver.sweep(streams_ref, cfg.threads, move |_, i, stream| {
-                    arb.decisions[i]
-                        .iter()
-                        .map(|d| match d {
-                            Decision::Admit(k) => stream.watts[*k as usize],
-                            Decision::Floor => stream.floor_w,
-                        })
-                        .collect()
-                })
+        // Apply: decisions become samples, written node by node
+        // straight into the fleet buffer. With no budget every decision
+        // is trivially "admit", so each watts column is copied as is.
+        let mut samples = Vec::with_capacity(streams.iter().map(|s| s.watts.len()).sum());
+        match &arbitration {
+            None => {
+                for stream in &streams {
+                    samples.extend_from_slice(&stream.watts);
+                }
             }
-        };
+            Some(arb) => {
+                for (stream, row) in streams.iter().zip(&arb.decisions) {
+                    samples.extend(row.iter().map(|d| match d {
+                        Decision::Admit(k) => stream.watts[*k as usize],
+                        Decision::Floor => stream.floor_w,
+                    }));
+                }
+            }
+        }
 
-        let episode_stats = (cfg.temporal == TemporalMode::Episodes)
-            .then(|| aggregate_episode_stats(&cfg.episodes, &accounting, &per_node_samples));
+        let episode_stats = (cfg.temporal == TemporalMode::Episodes).then(|| {
+            // Every node emits exactly its horizon, `watts.len()`
+            // samples, budgeted or not.
+            let mut rest = samples.as_slice();
+            let per_node: Vec<&[f64]> = streams
+                .iter()
+                .map(|s| {
+                    let (head, tail) = rest.split_at(s.watts.len());
+                    rest = tail;
+                    head
+                })
+                .collect();
+            aggregate_episode_stats(&cfg.episodes, &accounting, &per_node)
+        });
 
         let budget = arbitration.map(|arb| {
             let budget_w = cfg.budget_w.expect("arbitration implies a budget");
@@ -1390,7 +1317,7 @@ impl FleetSim {
         });
 
         FleetRun {
-            samples: per_node_samples.into_iter().flatten().collect(),
+            samples,
             registry: registry.stats(),
             power_table: plan.power_table.clone(),
             episodes: episode_stats,
@@ -1407,8 +1334,9 @@ impl FleetSim {
     /// node's stream is a pure function of `(seed, node_id)`, a shard
     /// proposes exactly the bytes the serial run would have produced
     /// for those nodes, and [`FleetSim::merge_shards`] reassembles the
-    /// full run bitwise-identically. Unbudgeted i.i.d. shards take the
-    /// same 4-lane lockstep fill as the whole-fleet fast path.
+    /// full run bitwise-identically. Unbudgeted i.i.d. shards write
+    /// their samples directly, drawing four nodes in lockstep; every
+    /// other shard keeps per-node streams for the merge-side arbiter.
     pub fn run_shard(&self, plan: &FleetPlan, lo: u32, hi: u32) -> FleetShard {
         let cfg = &self.config;
         assert!(
@@ -1418,8 +1346,7 @@ impl FleetSim {
         );
         let nodes = &plan.items[lo as usize..hi as usize];
         let data = if cfg.temporal == TemporalMode::Iid && cfg.budget_w.is_none() {
-            // Direct fill, chunked 4 nodes at a time exactly like the
-            // whole-fleet fast path's lockstep units.
+            // Direct fill, chunked into lockstep units from `lo`.
             let total: usize = nodes.iter().map(|n| n.samples as usize).sum();
             let mut samples = vec![0.0f64; total];
             let mut capped_samples = 0usize;
@@ -1427,7 +1354,7 @@ impl FleetSim {
             let mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = Vec::with_capacity(4);
             let mut it = nodes.iter().peekable();
             while it.peek().is_some() {
-                for n in it.by_ref().take(4) {
+                for n in it.by_ref().take(LOCKSTEP_NODES as usize) {
                     let (head, tail) = rest.split_at_mut(n.samples as usize);
                     rest = tail;
                     parts.push((&plan.lanes[n.sku_idx], rng_for(cfg.seed, n.node_id), head));
@@ -1540,23 +1467,6 @@ impl FleetSim {
         Ok(self.finish(registry, plan, per_node))
     }
 
-    /// Runs the fleet split across `shards` shards, each proposed on
-    /// its own OS thread, and merges the results. Produces bytes
-    /// identical to [`FleetSim::run`] for every shard count.
-    pub fn run_sharded(&self, registry: &EngineRegistry, shards: usize) -> FleetRun {
-        let plan = self.plan(registry);
-        let ranges = shard_ranges(plan.total_nodes(), shards);
-        let parts: Vec<FleetShard> = std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| scope.spawn(move || self.run_shard(plan, lo, hi)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        self.merge_shards(registry, &plan, parts)
-    }
-
     /// Generates all 60 s-mean samples for the fleet.
     pub fn generate(&self) -> Vec<f64> {
         self.run().samples
@@ -1571,13 +1481,13 @@ impl FleetSim {
 /// Folds per-node walk accounting `(state_ticks, episode_counts)` and
 /// the emitted sample streams into fleet-wide episode statistics.
 /// Nodes are visited in input order, so the result is identical for
-/// any sweep thread count. The state shares and dwells describe the
+/// any shard split. The state shares and dwells describe the
 /// *proposed* walks; the autocorrelation measures the emitted stream
 /// (post-arbitration when a budget is set).
 fn aggregate_episode_stats(
     model: &EpisodeModel,
     accounting: &[NodeAccounting],
-    per_node_samples: &[Vec<f64>],
+    per_node_samples: &[&[f64]],
 ) -> EpisodeStats {
     let n = model.n_states();
     let mut ticks = vec![0u64; n];
@@ -1586,7 +1496,7 @@ fn aggregate_episode_stats(
     // numerator/denominator (constant-power nodes contribute nothing).
     let mut num = 0.0f64;
     let mut den = 0.0f64;
-    for ((state_ticks, episode_counts), s) in accounting.iter().zip(per_node_samples) {
+    for ((state_ticks, episode_counts), &s) in accounting.iter().zip(per_node_samples) {
         for (a, b) in ticks.iter_mut().zip(state_ticks) {
             *a += b;
         }
@@ -1759,15 +1669,12 @@ mod tests {
         let n = model.n_states();
         let acct = |ticks: u64| -> NodeAccounting { (vec![ticks; n], vec![1; n]) };
         // Constant streams: positive length, zero variance.
-        let stats = aggregate_episode_stats(
-            &model,
-            &[acct(5), acct(5)],
-            &[vec![120.0; 5], vec![80.5; 5]],
-        );
+        let stats =
+            aggregate_episode_stats(&model, &[acct(5), acct(5)], &[&[120.0; 5], &[80.5; 5]]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(!stats.lag1_autocorr.is_nan());
         // Streams too short for a lag-1 pair.
-        let stats = aggregate_episode_stats(&model, &[acct(1)], &[vec![97.0]]);
+        let stats = aggregate_episode_stats(&model, &[acct(1)], &[&[97.0]]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         // Empty fleet: no nodes, no ticks, shares all zero.
         let stats = aggregate_episode_stats(&model, &[], &[]);
@@ -1776,7 +1683,7 @@ mod tests {
         // A varying stream still measures nonzero correlation (the
         // guard must not clamp legitimate statistics to zero).
         let ramp: Vec<f64> = (0..64).map(|i| 50.0 + f64::from(i)).collect();
-        let stats = aggregate_episode_stats(&model, &[acct(64)], &[ramp]);
+        let stats = aggregate_episode_stats(&model, &[acct(64)], &[&ramp]);
         assert!(stats.lag1_autocorr > 0.8);
     }
 
@@ -2341,25 +2248,50 @@ mod tests {
     fn budgeted_batched_composer_matches_reference_bitwise() {
         // With a fleet budget the batched Iid path keeps per-node
         // streams and state labels for the arbiter instead of the
-        // direct-fill fast path; the draws are the same either way.
-        let cfg = FleetConfig {
-            samples_per_node: 400,
-            threads: 1,
-            budget_w: Some(64.0 * 180.0),
-            ..FleetConfig::taurus_haswell_scaled(64)
+        // direct-fill shards; the draws are the same either way. The
+        // long-tail episode fleet adds a partial last shard (23 nodes)
+        // and a fat slice whose nodes outlive the rest, so the arbiter
+        // sees ragged horizons.
+        let mut long_tail = FleetConfig {
+            samples_per_node: 200,
+            temporal: TemporalMode::Episodes,
+            budget_w: Some(23.0 * 120.0),
+            budget_policy: BudgetPolicy::Defer,
+            ..FleetConfig::taurus_haswell_scaled(23)
         };
-        let sim = FleetSim::new(cfg);
-        let reference = sim.run_reference();
-        let run = sim.run();
-        let budget = reference.budget.as_ref().expect("budget stats");
-        let arbitrated: u64 = budget.shed_ticks.iter().sum::<u64>()
-            + budget.deferred_ticks.iter().sum::<u64>()
-            + budget.truncated_proposals;
-        assert!(
-            arbitrated > 0,
-            "budget should bite so arbitration is exercised"
-        );
-        assert_runs_identical(&reference, &run, "budgeted batched");
+        long_tail.groups[1].samples_per_node = Some(800);
+        let cases = [
+            (
+                "budgeted iid",
+                FleetConfig {
+                    samples_per_node: 400,
+                    budget_w: Some(64.0 * 180.0),
+                    ..FleetConfig::taurus_haswell_scaled(64)
+                },
+            ),
+            ("budgeted long-tail episodes", long_tail),
+        ];
+        for (label, cfg) in cases {
+            let reference = FleetSim::new(cfg.clone()).run_reference();
+            let budget = reference.budget.as_ref().expect("budget stats");
+            let arbitrated: u64 = budget.shed_ticks.iter().sum::<u64>()
+                + budget.deferred_ticks.iter().sum::<u64>()
+                + budget.truncated_proposals;
+            assert!(
+                arbitrated > 0,
+                "{label}: budget should bite so arbitration is exercised"
+            );
+            for threads in [1usize, 4] {
+                let run = FleetSim::new(FleetConfig {
+                    threads,
+                    ..cfg.clone()
+                })
+                .run();
+                let tag = format!("{label}, {threads} threads");
+                assert_runs_identical(&reference, &run, &tag);
+                assert_optional_stats_identical(&reference, &run, &tag);
+            }
+        }
     }
 
     #[test]
@@ -2519,13 +2451,14 @@ mod tests {
 
     #[test]
     fn sharded_run_is_bitwise_identical_for_any_split() {
-        // The scheduler/shard layer's contract: every split of the
-        // node range merges back to the bytes of the unsharded run —
-        // samples, CDF, episode stats, and budget stats — because each
-        // node's walk is a pure function of `(seed, node_id)`.
+        // The shard layer's contract: every spread of the 4-node shards
+        // over `run_with`'s threads merges back to the bytes of the
+        // serial run — samples, CDF, episode stats, and budget stats —
+        // because each node's walk is a pure function of
+        // `(seed, node_id)`.
         let configs: Vec<(&str, FleetConfig)> = vec![
             (
-                "iid fast path",
+                "iid direct fill",
                 FleetConfig {
                     samples_per_node: 300,
                     ..FleetConfig::taurus_haswell_scaled(63)
@@ -2550,13 +2483,20 @@ mod tests {
             ),
         ];
         for (label, cfg) in configs {
-            let sim = FleetSim::new(cfg.clone());
-            let reference = sim.run();
+            let reference = FleetSim::new(FleetConfig {
+                threads: 1,
+                ..cfg.clone()
+            })
+            .run();
             let ref_cdf = PowerCdf::from_samples(&reference.samples, 0.1);
-            for shards in [1usize, 2, 7, 64] {
+            for threads in [1usize, 2, 3, 5, 64] {
                 let registry = EngineRegistry::with_seed(cfg.seed);
-                let sharded = sim.run_sharded(&registry, shards);
-                let tag = format!("{label}, {shards} shards");
+                let sharded = FleetSim::new(FleetConfig {
+                    threads,
+                    ..cfg.clone()
+                })
+                .run_with(&registry);
+                let tag = format!("{label}, {threads} threads");
                 assert_runs_identical(&reference, &sharded, &tag);
                 assert_optional_stats_identical(&reference, &sharded, &tag);
                 let cdf = PowerCdf::from_samples(&sharded.samples, 0.1);

@@ -15,8 +15,10 @@
 //! `Engine::eval` at a drawn P-state, and the sample power is the
 //! duty-cycled mix of that payload power and the node's idle floor. The
 //! CDF pipeline (60 s aggregation, 0.1 W binning) is identical to the
-//! paper's, and the fan-out over `Engine::sweep_hinted` is
-//! bitwise-identical to a serial pass.
+//! paper's. Every run is plan → shards → merge: one-shot runs fan
+//! 4-node shards out over `Engine::sweep_hinted`, the fleet service
+//! over its worker pool, and both are bitwise-identical to a serial
+//! pass.
 //!
 //! On top of the i.i.d. per-node-minute sampler, [`episodes`] adds the
 //! temporal structure real traces show: a semi-Markov model whose
@@ -31,9 +33,10 @@
 //! *sum* of node draws per 60 s tick, with a pluggable
 //! [`budget::BudgetPolicy`] that sheds denied node-minutes to the idle
 //! floor or defers the episode's remaining ticks. Generation is a
-//! tick-synchronous propose → arbitrate → apply pass that stays
-//! bitwise-identical across thread counts and byte-stable when no
-//! budget is set.
+//! tick-synchronous propose → arbitrate → apply pass: shards propose,
+//! the merge arbitrates and applies serially. It stays
+//! bitwise-identical across thread counts and shard splits, and
+//! byte-stable when no budget is set.
 
 pub mod budget;
 pub mod episodes;

@@ -73,6 +73,8 @@ pub struct CliConfig {
     seed: Option<u64>,
     nodes: u32,
     samples_per_node: u32,
+    /// `--calibrate` fleet threads (0 = host cores); `--fleet` runs
+    /// split their work via `shards`/`workers` instead.
     threads: usize,
     fleet_temporal: String,
     cap_w: Option<f64>,
@@ -202,7 +204,9 @@ FLEET (Fig. 1)
                                   through real per-node engines
   --nodes N                       fleet size (default 612, mixed SKUs)
   --samples-per-node N            60 s means per node (default 2000)
-  --threads N                     sweep threads (default 0 = all cores)
+  --threads N                     --calibrate fleet threads (default 0 =
+                                  all cores); --fleet and --connect runs
+                                  split via --workers and --shards
   --fleet-temporal {iid|episodes} per-node sampling: independent minutes
                                   (default) or Markov job episodes with
                                   dwell times, ramps and idle hand-backs
@@ -608,7 +612,6 @@ fn fleet_request_from_cli(cfg: &CliConfig) -> Result<fs2_service::FleetRequest, 
         // fig01/example pipeline exactly (the Fig. 1 seed).
         seed: cfg.seed,
         temporal,
-        threads: cfg.threads,
         power_cap_w: cfg.cap_w,
         budget_w: cfg.budget_w,
         budget_policy,
@@ -1374,12 +1377,15 @@ mod tests {
 
     #[test]
     fn fleet_action_is_deterministic_per_seed() {
-        let a = run(&args("--fleet --nodes 8 --samples-per-node 40 --seed 5")).unwrap();
-        let b = run(&args(
-            "--fleet --nodes 8 --samples-per-node 40 --seed 5 --threads 3",
+        let a = run(&args(
+            "--fleet --nodes 8 --samples-per-node 40 --seed 5 --workers 1 --shards 1",
         ))
         .unwrap();
-        assert_eq!(a, b, "thread count must not change the CDF");
+        let b = run(&args(
+            "--fleet --nodes 8 --samples-per-node 40 --seed 5 --workers 4 --shards 4",
+        ))
+        .unwrap();
+        assert_eq!(a, b, "the shard split must not change the CDF");
         let c = run(&args("--fleet --nodes 8 --samples-per-node 40 --seed 6")).unwrap();
         assert_ne!(a, c);
     }
@@ -1401,14 +1407,16 @@ mod tests {
     #[test]
     fn fleet_episode_mode_is_thread_invariant() {
         let a = run(&args(
-            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 --threads 1",
+            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 \
+             --workers 1 --shards 1",
         ))
         .unwrap();
         let b = run(&args(
-            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 --threads 4",
+            "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 \
+             --workers 4 --shards 4",
         ))
         .unwrap();
-        assert_eq!(a, b, "episode CDF must not depend on thread count");
+        assert_eq!(a, b, "episode CDF must not depend on the shard split");
     }
 
     #[test]
@@ -1619,15 +1627,15 @@ mod tests {
         for policy in ["shed", "defer"] {
             let a = run(&args(&format!(
                 "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 \
-                 --budget-w 1000 --budget-policy {policy} --threads 1"
+                 --budget-w 1000 --budget-policy {policy} --workers 1 --shards 1"
             )))
             .unwrap();
             let b = run(&args(&format!(
                 "--fleet --fleet-temporal episodes --nodes 8 --samples-per-node 100 \
-                 --budget-w 1000 --budget-policy {policy} --threads 4"
+                 --budget-w 1000 --budget-policy {policy} --workers 4 --shards 4"
             )))
             .unwrap();
-            assert_eq!(a, b, "{policy}: budgeted CDF depends on thread count");
+            assert_eq!(a, b, "{policy}: budgeted CDF depends on the shard split");
         }
     }
 
