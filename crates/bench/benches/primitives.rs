@@ -13,7 +13,7 @@ use fs2_core::mix::MixRegistry;
 use fs2_core::payload::{build_payload, PayloadConfig};
 use fs2_power::{solve_throttle, NodePowerModel};
 use fs2_sim::core::{steady_state, ActiveSet};
-use fs2_sim::{Executor, InitScheme, SystemSim};
+use fs2_sim::{DecodedKernel, Executor, InitScheme, SystemSim};
 use fs2_tuning::{Nsga2, Nsga2Config};
 use std::hint::black_box;
 
@@ -138,7 +138,7 @@ fn bench_executor() {
         "functional_exec_100_iters",
         time_ns(50, || {
             let mut ex = Executor::new(InitScheme::V2Safe, 42);
-            ex.run(black_box(&payload.kernel), 100);
+            ex.run_decoded(&DecodedKernel::new(black_box(&payload.kernel)), 100);
             black_box(ex.state_hash());
         }),
     );

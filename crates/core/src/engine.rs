@@ -418,12 +418,12 @@ impl Engine {
     }
 
     /// Runs `config`'s payload on `runner` through every cache tier:
-    /// cached payload, memoized decoded kernel, and — for clean runs —
-    /// the ExecStats cache, which skips the functional pass entirely on
-    /// a hit. Armed fault injections replay the functional pass live
-    /// (their second executor is perturbed, so no cached outcome
-    /// describes them). Results are bit-identical to
-    /// [`Runner::run_kernel`] in every case.
+    /// cached payload, memoized decoded kernel, and the ExecStats cache,
+    /// which skips the functional pass entirely on a hit. The cached
+    /// outcome is always the clean pass; an armed fault is applied to a
+    /// copy of its registers by [`Runner::run_with_functional`], so
+    /// fault-injection runs are cache-served too. Results are
+    /// bit-identical to [`Runner::run_kernel`] in every case.
     pub fn run_on(
         &self,
         runner: &mut Runner,
@@ -433,18 +433,14 @@ impl Engine {
         let key = PayloadKey::of(&self.sku, config);
         let entry = self.entry_with(&key, config);
         let decoded = self.decoded_of(&entry);
-        if runner.has_pending_fault() {
-            runner.run_prepared(&entry.payload.kernel, &decoded, cfg)
-        } else {
-            let outcome = self.functional_outcome_keyed(
-                key,
-                &decoded,
-                cfg.init,
-                runner.seed(),
-                cfg.functional_iters,
-            );
-            runner.run_with_functional(&entry.payload.kernel, &outcome, cfg)
-        }
+        let outcome = self.functional_outcome_keyed(
+            key,
+            &decoded,
+            cfg.init,
+            runner.seed(),
+            cfg.functional_iters,
+        );
+        runner.run_with_functional(&entry.payload.kernel, &outcome, cfg)
     }
 
     /// Payload config for a group string with the architecture-default
@@ -1105,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_bypasses_the_exec_cache() {
+    fn fault_injection_is_served_from_the_exec_cache() {
         let e = engine();
         let cfg = e.config_for_spec("REG:2,L1_LS:1").unwrap();
         let mut run_cfg = quick_cfg(1500.0);
@@ -1116,20 +1112,27 @@ mod tests {
         assert_eq!(clean.error_check_passed, Some(true));
         let warm = e.cache_stats();
 
-        // An armed fault must replay the functional pass live and detect
-        // the divergence — a cached outcome would report a clean pass.
+        // The cached outcome is the clean pass; the armed fault flips a
+        // copy of its registers, so a warm-cache run still detects it.
         let mut session = e.session();
         session.inject_fault_next_run(2, 5, 51);
         let faulted = session.run(&cfg, &run_cfg);
         assert_eq!(faulted.error_check_passed, Some(false));
         let s = e.cache_stats();
-        assert_eq!(s.exec_hits, warm.exec_hits, "fault run must not hit");
-        assert_eq!(s.exec_misses, warm.exec_misses, "fault run must not fill");
+        assert_eq!(s.exec_hits, warm.exec_hits + 1, "fault run is a hit");
+        assert_eq!(s.exec_misses, warm.exec_misses);
+
+        // Same verdict and power as a live runner with the same fault.
+        let mut live = Runner::with_seed(e.sku().clone(), e.seed());
+        live.inject_fault_next_run(2, 5, 51);
+        let live_r = live.run_kernel(&e.payload(&cfg).kernel, &run_cfg);
+        assert_eq!(live_r.error_check_passed, faulted.error_check_passed);
+        assert_eq!(live_r.power.mean.to_bits(), faulted.power.mean.to_bits());
 
         // The fault is one-shot: the next run is clean and cache-served.
         let after = session.run(&cfg, &run_cfg);
         assert_eq!(after.error_check_passed, Some(true));
-        assert_eq!(e.cache_stats().exec_hits, warm.exec_hits + 1);
+        assert_eq!(e.cache_stats().exec_hits, warm.exec_hits + 2);
     }
 
     #[test]

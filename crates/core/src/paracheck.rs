@@ -5,12 +5,13 @@
 //! the same number of iterations. Comparing the per-core state hashes
 //! detects SIMD faults on overclocked or degraded silicon.
 //!
-//! The runner's inline check samples two cores; this module replays the
+//! The runner's inline check replays the kernel once and compares it
+//! against a copy carrying any armed fault; this module replays the
 //! kernel for *every* simulated core, fanned out over real OS threads
 //! with std's scoped threads (the work is embarrassingly parallel and
-//! read-only over the kernel).
+//! read-only over the decoded kernel).
 
-use fs2_sim::{Executor, InitScheme, Kernel};
+use fs2_sim::{DecodedKernel, Executor, InitScheme, Kernel};
 
 /// A fault to inject on one simulated core (silent-data-corruption test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +60,7 @@ pub fn check_all_cores(
     assert!(cores > 0);
     let threads = threads.clamp(1, cores as usize);
     let mut hashes = vec![0u64; cores as usize];
+    let decoded = &DecodedKernel::new(kernel);
 
     std::thread::scope(|scope| {
         // Static partition: contiguous chunks of cores per worker. The
@@ -75,7 +77,7 @@ pub fn check_all_cores(
                             ex.inject_bit_flip(f.reg, f.lane, f.bit);
                         }
                     }
-                    ex.run(kernel, iterations);
+                    ex.run_decoded(decoded, iterations);
                     *slot = ex.state_hash();
                 }
             });

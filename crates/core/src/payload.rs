@@ -328,7 +328,7 @@ mod tests {
         let sku = rome();
         let p = build_payload(&sku, &cfg("REG:2,L1_LS:1", 21));
         let mut ex = fs2_sim::Executor::new(fs2_sim::InitScheme::V2Safe, 99);
-        ex.run(&p.kernel, 2000);
+        ex.run_decoded(&fs2_sim::DecodedKernel::new(&p.kernel), 2000);
         assert_eq!(ex.stats().trivial_lane_ops, 0);
         assert!(!ex.any_trivial_register());
     }

@@ -11,7 +11,8 @@ use fs2_metrics::metric::Summary;
 use fs2_metrics::TimeSeries;
 use fs2_power::{solve_throttle, NodePowerModel, PowerBreakdown};
 use fs2_sim::{
-    DecodedKernel, Executor, FunctionalOutcome, HwEvents, InitScheme, Kernel, SimClock, SystemSim,
+    run_functional, state_hash_of, DecodedKernel, FunctionalOutcome, HwEvents, InitScheme, Kernel,
+    SimClock, SystemSim, LANES,
 };
 
 /// Per-run parameters (CLI: `-t`, `--start-delta`, `--stop-delta`, …).
@@ -154,13 +155,6 @@ impl Runner {
         self.seed
     }
 
-    /// True when a fault is armed for the next error-detection run.
-    /// Fault runs must replay the functional pass live (the engine's
-    /// ExecStats cache only describes clean executions).
-    pub fn has_pending_fault(&self) -> bool {
-        self.pending_fault.is_some()
-    }
-
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }
@@ -228,130 +222,53 @@ impl Runner {
     }
 
     /// Runs a kernel whose micro-op table is already decoded (the
-    /// engine memoizes one `DecodedKernel` per cached payload). The
-    /// error-detection second pass replays the same shared table — the
-    /// kernel is never decoded twice within a run.
+    /// engine memoizes one `DecodedKernel` per cached payload): one
+    /// functional replay ([`fs2_sim::run_functional`]), then
+    /// [`Runner::run_with_functional`] on its outcome. Error detection
+    /// needs no second replay — see `run_with_functional`.
     pub fn run_prepared(
         &mut self,
         kernel: &Kernel,
         decoded: &DecodedKernel,
         cfg: &RunConfig,
     ) -> RunResult {
-        // 1. Value-level execution: operand triviality + error detection.
-        let (outcome, error_check_passed) = self.functional_pass(decoded, cfg);
-        let trivial_fraction = outcome.stats.trivial_fraction();
-        let register_dump = cfg.dump_registers.then(|| outcome.register_dump());
-        self.finish_run(
-            kernel,
-            cfg,
-            trivial_fraction,
-            error_check_passed,
-            register_dump,
-        )
+        let outcome = run_functional(decoded, cfg.init, self.seed, cfg.functional_iters);
+        self.run_with_functional(kernel, &outcome, cfg)
     }
 
-    /// The §III-D value-level pass of a prepared run: the primary
-    /// functional outcome plus the error-detection verdict (if enabled).
-    /// Narrow tier: two independent [`Executor`] replays, with an armed
-    /// fault injected into the second before the hash comparison.
-    #[cfg(not(feature = "wide-lanes"))]
-    fn functional_pass(
-        &mut self,
-        decoded: &DecodedKernel,
-        cfg: &RunConfig,
-    ) -> (FunctionalOutcome, Option<bool>) {
-        let mut ex0 = Executor::new(cfg.init, self.seed);
-        ex0.run_decoded(decoded, cfg.functional_iters);
-        let error_check_passed = if cfg.error_detection {
-            let mut ex1 = Executor::new(cfg.init, self.seed);
-            ex1.run_decoded(decoded, cfg.functional_iters);
-            if let Some((reg, lane, bit)) = self.pending_fault.take() {
-                ex1.inject_bit_flip(reg, lane, bit);
-            }
-            Some(ex0.state_hash() == ex1.state_hash())
-        } else {
-            None
-        };
-        (ex0.outcome(), error_check_passed)
-    }
-
-    /// Wide-tier variant: the error-detection replay's two redundant
-    /// contexts run as one 8-lane pass ([`fs2_sim::run_functional_pair`]),
-    /// halving the replay loop count. An armed fault is applied to the
-    /// second context's extracted register file and its hash recomputed
-    /// — exactly the narrow tier's post-run [`Executor::inject_bit_flip`]
-    /// and compare, so results are bit-identical with the feature on or
-    /// off (the exec_parity suite pins the tiers to each other).
-    #[cfg(feature = "wide-lanes")]
-    fn functional_pass(
-        &mut self,
-        decoded: &DecodedKernel,
-        cfg: &RunConfig,
-    ) -> (FunctionalOutcome, Option<bool>) {
-        if cfg.error_detection {
-            let (out0, mut out1) = fs2_sim::run_functional_pair(
-                decoded,
-                cfg.init,
-                self.seed,
-                self.seed,
-                cfg.functional_iters,
-            );
-            if let Some((reg, lane, bit)) = self.pending_fault.take() {
-                let v = &mut out1.registers[reg % 16][lane % fs2_sim::LANES];
-                *v = f64::from_bits(v.to_bits() ^ (1u64 << (bit % 64)));
-                out1.state_hash = fs2_sim::state_hash_of(&out1.registers);
-            }
-            let passed = out0.state_hash == out1.state_hash;
-            (out0, Some(passed))
-        } else {
-            let mut ex = Executor::new(cfg.init, self.seed);
-            ex.run_decoded(decoded, cfg.functional_iters);
-            (ex.outcome(), None)
-        }
-    }
-
-    /// Runs a kernel whose functional pass was already computed (the
-    /// engine's ExecStats cache): the §III-D value-level replay is
-    /// skipped entirely and its results are taken from `functional`.
+    /// Runs a kernel whose functional pass is already computed (by
+    /// [`Runner::run_prepared`], or served from the engine's ExecStats
+    /// cache): steady state, power trace and events follow from
+    /// `functional`, which must describe a clean pass of this kernel
+    /// under `(cfg.init, self.seed(), cfg.functional_iters)`.
     ///
-    /// `functional` must describe a clean pass of this kernel under
-    /// `(cfg.init, self.seed(), cfg.functional_iters)`; with that
-    /// contract the result is bit-identical to [`Runner::run_kernel`].
-    /// Error detection without an armed fault compares two executors
-    /// initialized from the same seed, so it deterministically passes.
-    /// Fault-injection runs cannot use this path (panics if one is
-    /// armed) — the engine routes them through [`Runner::run_prepared`].
+    /// This is the one place the §III-D error-detection verdict is
+    /// decided. Every simulated core replays the same kernel from the
+    /// same seed, and the executor is bit-deterministic, so a second
+    /// core's final registers are `functional.registers` — unless a
+    /// fault is armed. The armed fault is consumed here: it flips one
+    /// bit in a copy of the registers (the same `reg % 16`,
+    /// `lane % LANES`, `bit % 64` addressing as
+    /// [`fs2_sim::Executor::inject_bit_flip`]), and the copy's hash is
+    /// compared against `functional.state_hash`.
     pub fn run_with_functional(
         &mut self,
         kernel: &Kernel,
         functional: &FunctionalOutcome,
         cfg: &RunConfig,
     ) -> RunResult {
-        assert!(
-            self.pending_fault.is_none(),
-            "fault-injection runs must replay the functional pass live"
-        );
-        let error_check_passed = cfg.error_detection.then_some(true);
+        // 1. Value-level results: error-detection verdict, register dump.
+        let error_check_passed = cfg.error_detection.then(|| {
+            let mut second = functional.registers;
+            if let Some((reg, lane, bit)) = self.pending_fault.take() {
+                let v = &mut second[reg % 16][lane % LANES];
+                *v = f64::from_bits(v.to_bits() ^ (1u64 << (bit % 64)));
+            }
+            state_hash_of(&second) == functional.state_hash
+        });
         let register_dump = cfg.dump_registers.then(|| functional.register_dump());
-        self.finish_run(
-            kernel,
-            cfg,
-            functional.stats.trivial_fraction(),
-            error_check_passed,
-            register_dump,
-        )
-    }
+        let trivial_fraction = functional.stats.trivial_fraction();
 
-    /// Steps 2–4 of a run, shared by every functional-pass front end:
-    /// steady state, power trace, hardware events, windowed summary.
-    fn finish_run(
-        &mut self,
-        kernel: &Kernel,
-        cfg: &RunConfig,
-        trivial_fraction: f64,
-        error_check_passed: Option<bool>,
-        register_dump: Option<String>,
-    ) -> RunResult {
         let freq = if cfg.freq_mhz > 0.0 {
             cfg.freq_mhz
         } else {
@@ -422,6 +339,7 @@ mod tests {
     use crate::groups::parse_groups;
     use crate::mix::InstructionMix;
     use crate::payload::{build_payload, PayloadConfig};
+    use fs2_sim::Executor;
 
     fn rome_payload(groups: &str, unroll: u32) -> Payload {
         build_payload(
@@ -556,7 +474,7 @@ mod tests {
     }
 
     /// The fields of a [`RunResult`] that must be bit-identical across
-    /// the three functional-pass front ends.
+    /// the functional-pass front ends.
     fn fingerprint(r: &RunResult) -> (u64, u64, u64, Option<bool>, Option<String>, u64) {
         (
             r.power.mean.to_bits(),
@@ -570,9 +488,8 @@ mod tests {
 
     #[test]
     fn run_prepared_shares_one_decoded_table() {
-        // Pin the §III-D refactor: `run_kernel` == `run_prepared` with an
-        // externally decoded table, including the error-detection second
-        // pass (which replays the *same* shared table, never re-decoding).
+        // `run_kernel` == `run_prepared` with an externally decoded
+        // table, error detection and register dump included.
         let p = rome_payload("REG:2,L1_LS:1", 63);
         let mut cfg = quick_cfg(1500.0);
         cfg.error_detection = true;
@@ -586,7 +503,7 @@ mod tests {
         let via_prepared = shared.run_prepared(&p.kernel, &decoded, &cfg);
         assert_eq!(fingerprint(&via_kernel), fingerprint(&via_prepared));
 
-        // The shared table also serves the armed-fault path.
+        // The armed-fault path replays the same shared table.
         shared.inject_fault_next_run(2, 5, 51);
         let faulted = shared.run_prepared(&p.kernel, &decoded, &cfg);
         assert_eq!(faulted.error_check_passed, Some(false));
@@ -608,24 +525,75 @@ mod tests {
 
             let decoded = DecodedKernel::new(&p.kernel);
             let mut cached = Runner::new(Sku::amd_epyc_7502());
-            let outcome =
-                fs2_sim::run_functional(&decoded, init, cached.seed(), cfg.functional_iters);
+            let outcome = run_functional(&decoded, init, cached.seed(), cfg.functional_iters);
             let cached_r = cached.run_with_functional(&p.kernel, &outcome, &cfg);
             assert_eq!(fingerprint(&live_r), fingerprint(&cached_r));
         }
     }
 
     #[test]
-    #[should_panic(expected = "fault-injection")]
-    fn run_with_functional_rejects_armed_faults() {
-        let p = rome_payload("REG:1", 64);
-        let mut runner = Runner::new(Sku::amd_epyc_7502());
-        runner.inject_fault_next_run(1, 1, 8);
+    fn same_seed_replays_are_bitwise_equal() {
+        // The one-replay error-detection verdict rests on this: two cores
+        // replaying the same kernel from the same seed end in the same
+        // state, so only an injected fault can make their hashes differ.
+        let p = rome_payload("REG:2,L1_LS:1", 63);
         let decoded = DecodedKernel::new(&p.kernel);
-        let outcome = fs2_sim::run_functional(&decoded, InitScheme::V2Safe, runner.seed(), 10);
+        let seed = Runner::new(Sku::amd_epyc_7502()).seed();
+        for init in [InitScheme::V2Safe, InitScheme::V174Buggy] {
+            let mut a = Executor::new(init, seed);
+            let mut b = Executor::new(init, seed);
+            a.run_decoded(&decoded, 500);
+            b.run_decoded(&decoded, 500);
+            assert_eq!(a.registers(), b.registers(), "{init:?}");
+            assert_eq!(a.state_hash(), b.state_hash(), "{init:?}");
+        }
+    }
+
+    #[test]
+    fn run_with_functional_consumes_armed_faults() {
+        // A cached outcome serves a fault-armed run: the fault is applied
+        // to a copy of the registers, detected, and consumed.
+        let p = rome_payload("REG:1", 64);
+        let decoded = DecodedKernel::new(&p.kernel);
+        let mut runner = Runner::new(Sku::amd_epyc_7502());
+        let outcome = run_functional(&decoded, InitScheme::V2Safe, runner.seed(), 10);
         let mut cfg = quick_cfg(1500.0);
         cfg.error_detection = true;
-        let _ = runner.run_with_functional(&p.kernel, &outcome, &cfg);
+        cfg.dump_registers = true;
+        runner.inject_fault_next_run(1, 1, 8);
+        let faulted = runner.run_with_functional(&p.kernel, &outcome, &cfg);
+        assert_eq!(faulted.error_check_passed, Some(false));
+        // The dump shows the clean first core, not the corrupted copy.
+        assert_eq!(faulted.register_dump, Some(outcome.register_dump()));
+        let after = runner.run_with_functional(&p.kernel, &outcome, &cfg);
+        assert_eq!(after.error_check_passed, Some(true));
+    }
+
+    #[test]
+    fn armed_faults_give_one_verdict_on_both_front_ends() {
+        // Over a grid of fault sites (out-of-range values wrap exactly as
+        // `Executor::inject_bit_flip` wraps them), the live replay and
+        // the precomputed-outcome path agree on verdict, dump and power.
+        let p = rome_payload("REG:2,L1_LS:1", 63);
+        let decoded = DecodedKernel::new(&p.kernel);
+        let mut cfg = quick_cfg(1500.0);
+        cfg.error_detection = true;
+        cfg.dump_registers = true;
+        let mut live = Runner::new(Sku::amd_epyc_7502());
+        let mut cached = Runner::new(Sku::amd_epyc_7502());
+        let outcome = run_functional(&decoded, cfg.init, cached.seed(), cfg.functional_iters);
+        for reg in [0usize, 7, 15, 21] {
+            for lane in [0usize, 3, 6] {
+                for bit in [0u32, 52, 63, 70] {
+                    live.inject_fault_next_run(lane, reg, bit);
+                    cached.inject_fault_next_run(lane, reg, bit);
+                    let a = live.run_prepared(&p.kernel, &decoded, &cfg);
+                    let b = cached.run_with_functional(&p.kernel, &outcome, &cfg);
+                    assert_eq!(a.error_check_passed, Some(false), "({reg}, {lane}, {bit})");
+                    assert_eq!(fingerprint(&a), fingerprint(&b), "({reg}, {lane}, {bit})");
+                }
+            }
+        }
     }
 
     #[test]

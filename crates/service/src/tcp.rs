@@ -230,6 +230,9 @@ pub fn serve_with(
                 break;
             }
             let Ok(mut stream) = conn else { continue };
+            // Replies go out as soon as they are written: without this,
+            // Nagle holds a reply's tail until the peer's delayed ACK.
+            let _ = stream.set_nodelay(true);
             // Reap finished connection threads so the handle list and
             // the thread count stay bounded by max_connections.
             {
@@ -255,9 +258,7 @@ pub fn serve_with(
                     ),
                 )
                 .to_line();
-                let _ = stream
-                    .write_all(line.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"));
+                let _ = write_line(&mut stream, &line);
                 continue;
             }
             active.fetch_add(1, Ordering::SeqCst);
@@ -399,6 +400,7 @@ impl Client {
 
     pub fn connect_with(addr: &str, cfg: TransportConfig) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: LineReader::new(stream, cfg)?,
@@ -411,9 +413,7 @@ impl Client {
     /// connection is [`ClientError::Eof`]; the two are deliberately
     /// distinct so retry loops and the CLI can say which happened.
     pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         match self.reader.read_line(None) {
             LineRead::Line(reply) => Ok(reply),
             LineRead::Eof | LineRead::Stopped => Err(ClientError::Eof),
@@ -530,6 +530,17 @@ mod tests {
             let line = client.request(&req.to_line()).unwrap();
             assert!(FleetReply::from_line(&line).unwrap().ok);
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn client_connections_disable_nagle() {
+        // A line and its newline may leave in separate writes; with Nagle
+        // on, the second waits for the peer's delayed ACK (~40 ms).
+        let service = Arc::new(FleetService::new(ServiceConfig::small()));
+        let server = serve(service, "127.0.0.1:0").unwrap();
+        let client = Client::connect(&server.local_addr().to_string()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
         server.shutdown();
     }
 

@@ -12,23 +12,21 @@
 //! error-detection features of §III-D — fall out of actual computation
 //! rather than a hard-coded flag.
 //!
-//! Three replay tiers share one register state, from reference to fast:
+//! Two replay paths share one register state:
 //!
-//! * [`Executor::run_interpreted`] — matches raw [`Inst`] variants every
-//!   iteration (the reference semantics);
-//! * [`Executor::run_predecoded`] — replays a flat [`DecodedKernel`]
-//!   micro-op table with per-lane triviality checks on every operand
-//!   (the first-generation fast path, kept as the benchmark baseline);
-//! * [`Executor::run_decoded`] — the lane-vectorized path: registers
-//!   live in a flat 16 × [`LANES`] lane array (one contiguous
-//!   fixed-size lane slice per register), micro-ops carry masked
-//!   register numbers that index it checked-free, FMA/MUL/ADD bodies
-//!   iterate fixed-size lane slices the compiler auto-vectorizes, and
-//!   triviality is a per-register lane bitmask updated once per
-//!   destination write instead of per-lane `is_trivial` calls on
-//!   every source operand.
+//! * [`Executor::run_interpreted`] — the oracle: matches raw [`Inst`]
+//!   variants every iteration and tests every operand lane with the
+//!   spec-form triviality predicate. It exists to define the semantics
+//!   the parity suites pin the production path to.
+//! * [`Executor::run_decoded`] — the production path: registers live in
+//!   a flat 16 × [`LANES`] lane array (one contiguous fixed-size lane
+//!   slice per register), micro-ops carry masked register numbers that
+//!   index it checked-free, FMA/MUL/ADD bodies iterate fixed-size lane
+//!   slices the compiler auto-vectorizes, and triviality is a
+//!   per-register lane bitmask updated once per destination write
+//!   instead of per-lane tests on every source operand.
 //!
-//! All three are bit-identical in results: same [`ExecStats`], same
+//! Both are bit-identical in results: same [`ExecStats`], same
 //! [`Executor::state_hash`], same register dumps.
 
 use crate::kernel::Kernel;
@@ -73,19 +71,19 @@ impl ExecStats {
 
 /// Branchless triviality test: ±0 (upper 63 bits clear once the sign is
 /// shifted out) or an all-ones exponent (±∞/NaN). Equivalent to
-/// `x == 0.0 || x.is_infinite() || x.is_nan()` but auto-vectorizable.
+/// [`is_trivial`] but auto-vectorizable; the production path's scalar
+/// ops and the portable [`mask4`] use it.
 #[inline(always)]
-fn is_trivial(x: f64) -> bool {
+fn is_trivial_bits(x: f64) -> bool {
     let b = x.to_bits();
     (b << 1) == 0 || (b & 0x7FF0_0000_0000_0000) == 0x7FF0_0000_0000_0000
 }
 
-/// The first-generation triviality test, short-circuiting `||` chain
-/// included — kept verbatim as the baseline tier's per-lane check so
-/// `speedup_soa_vs_predecoded` measures against the shipped cost model.
-/// Semantically identical to [`is_trivial`].
+/// The triviality predicate as the clock-gating model states it: an
+/// operand of ±0, ±∞ or NaN. The interpreter tests every operand lane
+/// with it, which makes it the reference the bitmask path is held to.
 #[inline]
-fn is_trivial_v1(x: f64) -> bool {
+fn is_trivial(x: f64) -> bool {
     x == 0.0 || x.is_infinite() || x.is_nan()
 }
 
@@ -99,7 +97,7 @@ fn is_trivial_v1(x: f64) -> bool {
 /// loop — it extracts every lane through GP registers, ~7× the
 /// instructions — hence the explicit intrinsics. The portable arm below
 /// is the same predicate, and the exec_parity suite pins both to the
-/// interpreted tier's per-lane semantics.
+/// interpreter's per-lane semantics.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
 #[inline(always)]
 fn mask4(v: &[f64; LANES]) -> u8 {
@@ -126,7 +124,7 @@ fn mask4(v: &[f64; LANES]) -> u8 {
 fn mask4(v: &[f64; LANES]) -> u8 {
     let mut m = 0u8;
     for (l, &x) in v.iter().enumerate() {
-        m |= u8::from(is_trivial(x)) << l;
+        m |= u8::from(is_trivial_bits(x)) << l;
     }
     m
 }
@@ -235,8 +233,8 @@ enum MicroOp {
 }
 
 /// A kernel pre-decoded into a flat micro-op table, built once and
-/// replayed for every functional iteration (and shared between the two
-/// executors of an error-detection run). Replay through
+/// replayed for every functional iteration (and shared by every run of
+/// the same cached payload). Replay through
 /// [`Executor::run_decoded`] is bit-identical to interpreting the raw
 /// instruction stream.
 #[derive(Debug, Clone)]
@@ -438,8 +436,8 @@ pub struct Executor {
     gp: [u64; 16],
     /// Per-register triviality lane bitmask (bit `l` ⇔ lane `l` trivial).
     /// Maintained by [`Executor::run_decoded`] (refreshed from values on
-    /// entry), so the other replay tiers and fault injection never need
-    /// to keep it coherent.
+    /// entry), so the interpreter and fault injection never need to keep
+    /// it coherent.
     ymm_mask: [u8; 16],
     /// Per-level functional buffers, [`BUF_ELEMS`] 256-bit slots each.
     buffers: [Buffer; 4],
@@ -510,8 +508,7 @@ impl Executor {
         let buf_mask = [mk_mask(), mk_mask(), mk_mask(), mk_mask()];
         // All-zero masks are the correct initial state: both schemes
         // initialize every register and buffer lane to a nonzero finite
-        // value, and `run_decoded` refreshes masks on entry anyway (the
-        // replay tiers and fault injection keep them current afterwards).
+        // value, and `run_decoded` refreshes masks on entry anyway.
         Executor {
             ymm,
             gp: [0; 16],
@@ -549,7 +546,7 @@ impl Executor {
 
     /// Recomputes every triviality mask from the current values. Called
     /// on entry to [`Executor::run_decoded`] so that state mutated by the
-    /// reference tiers or [`Executor::inject_bit_flip`] never leaves the
+    /// interpreter or [`Executor::inject_bit_flip`] never leaves the
     /// masks stale.
     fn refresh_masks(&mut self) {
         for (r, reg) in self.ymm.iter().enumerate() {
@@ -586,21 +583,7 @@ impl Executor {
         (self.addr_of(mem) / 32) as usize % BUF_ELEMS.min(elems - 1)
     }
 
-    /// Micro-op address resolution with the historical runtime-derived
-    /// modulus — the baseline tier's cost model.
-    fn slot_of(&self, mem: &MemOp) -> usize {
-        let base = self.gp[mem.base as usize];
-        let idx = if mem.index_factor > 0 {
-            self.gp[mem.index_reg as usize].wrapping_mul(u64::from(mem.index_factor))
-        } else {
-            0
-        };
-        let addr = base.wrapping_add(idx).wrapping_add(mem.disp as i64 as u64);
-        let elems = self.buffers[(mem.level & 3) as usize].len();
-        (addr / 32) as usize % BUF_ELEMS.min(elems - 1)
-    }
-
-    /// Vectorized-tier address resolution: same address arithmetic, but
+    /// Production-path address resolution: same address arithmetic, but
     /// the modulus is the compile-time [`SLOT_MOD`] (buffers always hold
     /// exactly [`BUF_ELEMS`] slots, so `BUF_ELEMS.min(len - 1)` is
     /// constant).
@@ -622,7 +605,7 @@ impl Executor {
     fn count_fp(&mut self, operands: &[[f64; LANES]]) {
         for l in 0..LANES {
             self.stats.fp_lane_ops += 1;
-            if operands.iter().any(|o| is_trivial_v1(o[l])) {
+            if operands.iter().any(|o| is_trivial(o[l])) {
                 self.stats.trivial_lane_ops += 1;
             }
         }
@@ -630,10 +613,10 @@ impl Executor {
 
     fn read_rm(&self, src: &RmYmm, level: Option<MemLevel>) -> [f64; LANES] {
         match src {
-            RmYmm::Reg(r) => self.vload_v1(r.num()),
+            RmYmm::Reg(r) => self.vload(r.num()),
             RmYmm::Mem(m) => {
                 let level = level.expect("memory operand needs a level tag");
-                self.buf_read_v1(level.idx(), self.buf_slot(level, m))
+                self.buf_read(level.idx(), self.buf_slot(level, m))
             }
         }
     }
@@ -642,54 +625,54 @@ impl Executor {
         match inst {
             Inst::Vfmadd231pd { dst, src1, src2 } => {
                 let di = dst.num();
-                let d = self.vload_v1(di);
-                let a = self.vload_v1(src1.num());
+                let d = self.vload(di);
+                let a = self.vload(src1.num());
                 let b = self.read_rm(src2, level);
                 self.count_fp(&[d, a, b]);
                 let mut out = [0.0; LANES];
                 for l in 0..LANES {
                     out[l] = a[l].mul_add(b[l], d[l]);
                 }
-                self.vstore_v1(di, out);
+                self.vstore(di, out);
             }
             Inst::Vmulpd { dst, src1, src2 } => {
-                let a = self.vload_v1(src1.num());
+                let a = self.vload(src1.num());
                 let b = self.read_rm(src2, level);
                 self.count_fp(&[a, b]);
                 let mut out = [0.0; LANES];
                 for l in 0..LANES {
                     out[l] = a[l] * b[l];
                 }
-                self.vstore_v1(dst.num(), out);
+                self.vstore(dst.num(), out);
             }
             Inst::Vaddpd { dst, src1, src2 } => {
-                let a = self.vload_v1(src1.num());
+                let a = self.vload(src1.num());
                 let b = self.read_rm(src2, level);
                 self.count_fp(&[a, b]);
                 let mut out = [0.0; LANES];
                 for l in 0..LANES {
                     out[l] = a[l] + b[l];
                 }
-                self.vstore_v1(dst.num(), out);
+                self.vstore(dst.num(), out);
             }
             Inst::Vxorps { dst, src1, src2 } => {
-                let a = self.vload_v1(src1.num());
-                let b = self.vload_v1(src2.num());
+                let a = self.vload(src1.num());
+                let b = self.vload(src2.num());
                 let mut out = [0.0; LANES];
                 for l in 0..LANES {
                     out[l] = f64::from_bits(a[l].to_bits() ^ b[l].to_bits());
                 }
-                self.vstore_v1(dst.num(), out);
+                self.vstore(dst.num(), out);
             }
             Inst::VmovapdLoad { dst, src } => {
                 let level = level.expect("load needs a level tag");
-                let v = self.buf_read_v1(level.idx(), self.buf_slot(level, src));
-                self.vstore_v1(dst.num(), v);
+                let v = self.buf_read(level.idx(), self.buf_slot(level, src));
+                self.vstore(dst.num(), v);
             }
             Inst::VmovapdStore { dst, src } => {
                 let level = level.expect("store needs a level tag");
                 let slot = self.buf_slot(level, dst);
-                let v = self.vload_v1(src.num());
+                let v = self.vload(src.num());
                 self.buf_write(level.idx(), slot, v);
             }
             Inst::Sqrtsd { dst, src } => {
@@ -701,7 +684,7 @@ impl Executor {
                 let di = ri(dst.num());
                 let d = self.ymm[di][0];
                 self.stats.fp_lane_ops += 1;
-                if is_trivial_v1(s) || is_trivial_v1(d) {
+                if is_trivial(s) || is_trivial(d) {
                     self.stats.trivial_lane_ops += 1;
                 }
                 self.ymm[di][0] = d * s;
@@ -711,7 +694,7 @@ impl Executor {
                 let di = ri(dst.num());
                 let d = self.ymm[di][0];
                 self.stats.fp_lane_ops += 1;
-                if is_trivial_v1(s) || is_trivial_v1(d) {
+                if is_trivial(s) || is_trivial(d) {
                     self.stats.trivial_lane_ops += 1;
                 }
                 self.ymm[di][0] = d + s;
@@ -753,24 +736,14 @@ impl Executor {
         }
     }
 
-    /// Executes `iterations` passes over the kernel body.
-    ///
-    /// Pre-decodes the instruction stream into a micro-op table once,
-    /// then replays it through the lane-vectorized fast path. Equivalent
-    /// to [`Executor::run_interpreted`] bit for bit (state, stats).
-    pub fn run(&mut self, kernel: &Kernel, iterations: u64) -> &ExecStats {
-        let decoded = DecodedKernel::new(kernel);
-        self.run_decoded(&decoded, iterations)
-    }
-
     /// Executes `iterations` passes over a pre-decoded kernel through the
     /// lane-vectorized fast path. Decode the kernel once with
-    /// [`DecodedKernel::new`] and reuse it across runs (e.g. the
-    /// error-detection replay executes the same kernel twice).
+    /// [`DecodedKernel::new`] and reuse it across runs (the engine
+    /// memoizes one table per cached payload).
     ///
     /// FP-op bodies iterate fixed-size `[f64; LANES]` slices of the flat
     /// lane array (auto-vectorizable), and the per-lane triviality test
-    /// of the baseline tiers collapses to a bitmask OR + popcount per op:
+    /// of the interpreter collapses to a bitmask OR + popcount per op:
     /// each destination write refreshes its register's mask once, and
     /// source operands reuse the masks instead of re-testing every lane.
     pub fn run_decoded(&mut self, decoded: &DecodedKernel, iterations: u64) -> &ExecStats {
@@ -895,7 +868,8 @@ impl Executor {
                         let s = self.ymm[ri(src)][0];
                         let out = s.sqrt();
                         let di = ri(dst);
-                        self.ymm_mask[di] = (self.ymm_mask[di] & !1) | u8::from(is_trivial(out));
+                        self.ymm_mask[di] =
+                            (self.ymm_mask[di] & !1) | u8::from(is_trivial_bits(out));
                         self.ymm[di][0] = out;
                     }
                     MicroOp::MulSd { dst, src } => {
@@ -905,7 +879,8 @@ impl Executor {
                         fp_ops += 1;
                         trivial += u64::from((self.ymm_mask[di] | self.ymm_mask[ri(src)]) & 1);
                         let out = d * s;
-                        self.ymm_mask[di] = (self.ymm_mask[di] & !1) | u8::from(is_trivial(out));
+                        self.ymm_mask[di] =
+                            (self.ymm_mask[di] & !1) | u8::from(is_trivial_bits(out));
                         self.ymm[di][0] = out;
                     }
                     MicroOp::AddSd { dst, src } => {
@@ -915,7 +890,8 @@ impl Executor {
                         fp_ops += 1;
                         trivial += u64::from((self.ymm_mask[di] | self.ymm_mask[ri(src)]) & 1);
                         let out = d + s;
-                        self.ymm_mask[di] = (self.ymm_mask[di] & !1) | u8::from(is_trivial(out));
+                        self.ymm_mask[di] =
+                            (self.ymm_mask[di] & !1) | u8::from(is_trivial_bits(out));
                         self.ymm[di][0] = out;
                     }
                     MicroOp::GpXor { dst, src } => {
@@ -954,9 +930,9 @@ impl Executor {
         &self.stats
     }
 
-    /// Reference implementation: matches on the raw `Inst` stream every
-    /// iteration. Kept for the micro-benchmark baseline and the
-    /// decoded-vs-interpreted equivalence tests.
+    /// The oracle: matches on the raw `Inst` stream every iteration and
+    /// tests every operand lane with the spec-form triviality predicate.
+    /// The parity suites hold [`Executor::run_decoded`] to it bit for bit.
     pub fn run_interpreted(&mut self, kernel: &Kernel, iterations: u64) -> &ExecStats {
         for _ in 0..iterations {
             for t in &kernel.body {
@@ -967,210 +943,23 @@ impl Executor {
         &self.stats
     }
 
-    /// First-generation replay tier: the flat micro-op table with
-    /// per-lane triviality checks on every source operand and the
-    /// runtime-derived buffer modulus — exactly the cost model the
-    /// lane-vectorized [`Executor::run_decoded`] replaced. Kept as the
-    /// `speedup_soa_vs_predecoded` benchmark baseline and as a third
-    /// independent implementation for the parity suite.
-    ///
-    /// The tier deliberately replicates the original implementation's
-    /// access idiom — bounds-checked flat-slice register loads
-    /// (`Executor::vload_v1`) and the short-circuiting triviality
-    /// test (`is_trivial_v1`) — so the published speedup measures the
-    /// vectorized path against what actually shipped, not against a
-    /// baseline that silently inherits this PR's layout improvements.
-    pub fn run_predecoded(&mut self, decoded: &DecodedKernel, iterations: u64) -> &ExecStats {
-        for _ in 0..iterations {
-            for op in &decoded.ops {
-                self.exec_op_baseline(op);
-            }
-            self.stats.iterations += 1;
-        }
-        &self.stats
-    }
-
-    /// Gen-1 register load: a flat-slice view with runtime bounds
-    /// checks, as the original pre-decoded executor performed it.
+    /// Interpreter register read: a plain bounds-checked index by the
+    /// instruction's register number.
     #[inline]
-    fn vload_v1(&self, reg: u8) -> [f64; LANES] {
-        let i = reg as usize * LANES;
-        let flat = self.ymm.as_flattened();
-        flat[i..i + LANES].try_into().expect("flat ymm index")
+    fn vload(&self, reg: u8) -> [f64; LANES] {
+        self.ymm[reg as usize]
     }
 
-    /// Gen-1 register store (flat-slice `copy_from_slice`).
+    /// Interpreter register write.
     #[inline]
-    fn vstore_v1(&mut self, reg: u8, v: [f64; LANES]) {
-        let i = reg as usize * LANES;
-        self.ymm.as_flattened_mut()[i..i + LANES].copy_from_slice(&v);
+    fn vstore(&mut self, reg: u8, v: [f64; LANES]) {
+        self.ymm[reg as usize] = v;
     }
 
-    /// Gen-1 buffer read through a flat lane view.
+    /// Interpreter buffer read of one 256-bit slot.
     #[inline]
-    fn buf_read_v1(&self, level: usize, slot: usize) -> [f64; LANES] {
-        let base = slot * LANES;
-        let flat = self.buffers[level].as_flattened();
-        flat[base..base + LANES]
-            .try_into()
-            .expect("flat buffer slot")
-    }
-
-    /// Lane accounting for two-operand FP ops; equivalent to
-    /// [`Executor::count_fp`] over `[a, b]` without the slice walk.
-    #[inline]
-    fn tally2(&mut self, a: &[f64; LANES], b: &[f64; LANES]) {
-        self.stats.fp_lane_ops += LANES as u64;
-        let mut trivial = 0u64;
-        for l in 0..LANES {
-            trivial += u64::from(is_trivial_v1(a[l]) || is_trivial_v1(b[l]));
-        }
-        self.stats.trivial_lane_ops += trivial;
-    }
-
-    /// Lane accounting for three-operand FP ops (FMA).
-    #[inline]
-    fn tally3(&mut self, a: &[f64; LANES], b: &[f64; LANES], c: &[f64; LANES]) {
-        self.stats.fp_lane_ops += LANES as u64;
-        let mut trivial = 0u64;
-        for l in 0..LANES {
-            trivial += u64::from(is_trivial_v1(a[l]) || is_trivial_v1(b[l]) || is_trivial_v1(c[l]));
-        }
-        self.stats.trivial_lane_ops += trivial;
-    }
-
-    fn exec_op_baseline(&mut self, op: &MicroOp) {
-        match *op {
-            MicroOp::Fma { dst, a, b } => {
-                let d = self.vload_v1(dst);
-                let x = self.vload_v1(a);
-                let y = self.vload_v1(b);
-                self.tally3(&d, &x, &y);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l].mul_add(y[l], d[l]);
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::FmaMem { dst, a, mem } => {
-                let d = self.vload_v1(dst);
-                let x = self.vload_v1(a);
-                let y = self.buf_read_v1(mem.level as usize, self.slot_of(&mem));
-                self.tally3(&d, &x, &y);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l].mul_add(y[l], d[l]);
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::Mul { dst, a, b } => {
-                let x = self.vload_v1(a);
-                let y = self.vload_v1(b);
-                self.tally2(&x, &y);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l] * y[l];
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::MulMem { dst, a, mem } => {
-                let x = self.vload_v1(a);
-                let y = self.buf_read_v1(mem.level as usize, self.slot_of(&mem));
-                self.tally2(&x, &y);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l] * y[l];
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::Add { dst, a, b } => {
-                let x = self.vload_v1(a);
-                let y = self.vload_v1(b);
-                self.tally2(&x, &y);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l] + y[l];
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::AddMem { dst, a, mem } => {
-                let x = self.vload_v1(a);
-                let y = self.buf_read_v1(mem.level as usize, self.slot_of(&mem));
-                self.tally2(&x, &y);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = x[l] + y[l];
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::Xor { dst, a, b } => {
-                let x = self.vload_v1(a);
-                let y = self.vload_v1(b);
-                let mut out = [0.0; LANES];
-                for l in 0..LANES {
-                    out[l] = f64::from_bits(x[l].to_bits() ^ y[l].to_bits());
-                }
-                self.vstore_v1(dst, out);
-            }
-            MicroOp::Load { dst, mem } => {
-                let v = self.buf_read_v1(mem.level as usize, self.slot_of(&mem));
-                self.vstore_v1(dst, v);
-            }
-            MicroOp::Store { src, mem } => {
-                let slot = self.slot_of(&mem);
-                let v = self.vload_v1(src);
-                self.buf_write(mem.level as usize, slot, v);
-            }
-            MicroOp::SqrtSd { dst, src } => {
-                let s = self.ymm[ri(src)][0];
-                self.ymm[ri(dst)][0] = s.sqrt();
-            }
-            MicroOp::MulSd { dst, src } => {
-                let s = self.ymm[ri(src)][0];
-                let d = self.ymm[ri(dst)][0];
-                self.stats.fp_lane_ops += 1;
-                if is_trivial(s) || is_trivial(d) {
-                    self.stats.trivial_lane_ops += 1;
-                }
-                self.ymm[ri(dst)][0] = d * s;
-            }
-            MicroOp::AddSd { dst, src } => {
-                let s = self.ymm[ri(src)][0];
-                let d = self.ymm[ri(dst)][0];
-                self.stats.fp_lane_ops += 1;
-                if is_trivial(s) || is_trivial(d) {
-                    self.stats.trivial_lane_ops += 1;
-                }
-                self.ymm[ri(dst)][0] = d + s;
-            }
-            MicroOp::GpXor { dst, src } => {
-                self.gp[dst as usize] ^= self.gp[src as usize];
-            }
-            MicroOp::GpShl { dst, imm } => {
-                let d = &mut self.gp[dst as usize];
-                *d = d.wrapping_shl(u32::from(imm));
-            }
-            MicroOp::GpShr { dst, imm } => {
-                let d = &mut self.gp[dst as usize];
-                *d = d.wrapping_shr(u32::from(imm));
-            }
-            MicroOp::GpAddImm { dst, imm } => {
-                let d = &mut self.gp[dst as usize];
-                *d = d.wrapping_add(imm as i64 as u64);
-            }
-            MicroOp::GpAdd { dst, src } => {
-                let s = self.gp[src as usize];
-                let d = &mut self.gp[dst as usize];
-                *d = d.wrapping_add(s);
-            }
-            MicroOp::GpMovImm { dst, imm } => {
-                self.gp[dst as usize] = imm;
-            }
-            MicroOp::GpDec { dst } => {
-                let d = &mut self.gp[dst as usize];
-                *d = d.wrapping_sub(1);
-            }
-        }
+    fn buf_read(&self, level: usize, slot: usize) -> [f64; LANES] {
+        self.buffers[level][slot]
     }
 
     /// Writes all vector registers in hexadecimal + decimal form — the
@@ -1193,14 +982,14 @@ impl Executor {
     pub fn inject_bit_flip(&mut self, reg: usize, lane: usize, bit: u32) {
         let v = &mut self.ymm[reg % 16][lane % LANES];
         *v = f64::from_bits(v.to_bits() ^ (1u64 << (bit % 64)));
-        // The vectorized tier re-derives masks on entry, but keep the
+        // The production path re-derives masks on entry, but keep the
         // register's mask coherent for callers inspecting state directly.
         self.ymm_mask[reg % 16] = mask4(&self.ymm[reg % 16]);
     }
 
     /// True if any register lane has reached a trivial value.
     pub fn any_trivial_register(&self) -> bool {
-        self.ymm.iter().flatten().any(|&x| is_trivial(x))
+        self.ymm.iter().flatten().any(|&x| is_trivial_bits(x))
     }
 }
 
@@ -1221,440 +1010,6 @@ pub fn state_hash_of(regs: &[[f64; LANES]; 16]) -> u64 {
         }
     }
     h
-}
-
-/// f64 lanes per 512-bit vector register: the wide tier packs two
-/// [`LANES`]-lane execution contexts into one register file (lanes
-/// `0..LANES` context A, `LANES..2*LANES` context B).
-#[cfg(feature = "wide-lanes")]
-pub const WIDE_LANES: usize = 2 * LANES;
-
-/// 8-lane triviality bitmask via one 512-bit compare pair (bit `l` set ⇔
-/// lane `l` is ±∞/0/NaN) — same predicate as [`mask4`], one register.
-#[cfg(all(
-    feature = "wide-lanes",
-    target_arch = "x86_64",
-    target_feature = "avx512f"
-))]
-#[inline(always)]
-fn mask8(v: &[f64; WIDE_LANES]) -> u8 {
-    use std::arch::x86_64::{
-        _mm512_abs_pd, _mm512_cmp_pd_mask, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
-        _CMP_EQ_OQ, _CMP_NLT_UQ,
-    };
-    // SAFETY: this arm only compiles when AVX-512F is statically
-    // enabled, and `v` is a valid, readable `[f64; 8]`.
-    unsafe {
-        let x = _mm512_loadu_pd(v.as_ptr());
-        let is_zero = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(x, _mm512_setzero_pd());
-        let not_finite =
-            _mm512_cmp_pd_mask::<_CMP_NLT_UQ>(_mm512_abs_pd(x), _mm512_set1_pd(f64::INFINITY));
-        is_zero | not_finite
-    }
-}
-
-/// Portable 8-lane mask for targets without statically-enabled AVX-512:
-/// two [`mask4`] halves (each of which still uses the 256-bit intrinsic
-/// arm where available) composed nibble-wise.
-#[cfg(all(
-    feature = "wide-lanes",
-    not(all(target_arch = "x86_64", target_feature = "avx512f"))
-))]
-#[inline(always)]
-fn mask8(v: &[f64; WIDE_LANES]) -> u8 {
-    let lo: &[f64; LANES] = v[..LANES].try_into().expect("low half");
-    let hi: &[f64; LANES] = v[LANES..].try_into().expect("high half");
-    mask4(lo) | (mask4(hi) << LANES)
-}
-
-/// One memory level's wide functional buffer: each slot holds the two
-/// contexts' [`LANES`]-lane values side by side.
-#[cfg(feature = "wide-lanes")]
-type WideBuffer = Box<[[f64; WIDE_LANES]; BUF_ELEMS]>;
-
-/// 8-lane wide replay tier: two same-kernel execution contexts packed
-/// into one `16 × 8` SoA register file, so each micro-op's FP body is a
-/// single 512-bit-wide lane loop (one `zmm` operation on AVX-512 hosts,
-/// two fused 256-bit halves elsewhere) serving both contexts at once.
-///
-/// The packing is sound because the two contexts run the *same* decoded
-/// kernel and general-purpose state is seed-independent: GP registers
-/// start at zero and are only ever updated by GP micro-ops whose inputs
-/// are GP state and immediates (no FP→GP data flow exists in
-/// [`MicroOp`]), so both contexts compute identical addresses on every
-/// instruction and one shared `gp` file + one shared slot computation
-/// serves both lane halves. FP lanes never cross the half boundary —
-/// every body is element-wise — so each half is bit-identical to the
-/// narrow [`Executor`] run it replaces; the exec_parity suite pins this.
-///
-/// The natural consumer is the §III-D error-detection replay
-/// ([`run_functional_pair`]): the two redundant passes of one run become
-/// a single wide pass at roughly half the replay cost.
-#[cfg(feature = "wide-lanes")]
-#[derive(Debug, Clone)]
-pub struct WideExecutor {
-    /// Packed vector register file: `wymm[N][..LANES]` is context A's
-    /// `ymmN`, `wymm[N][LANES..]` context B's.
-    wymm: [[f64; WIDE_LANES]; 16],
-    /// Shared GP file (identical across contexts; see type docs).
-    gp: [u64; 16],
-    /// Per-register 8-bit triviality mask: low nibble context A, high
-    /// nibble context B.
-    wmask: [u8; 16],
-    buffers: [WideBuffer; 4],
-    buf_mask: [Box<[u8; BUF_ELEMS]>; 4],
-    stats_a: ExecStats,
-    stats_b: ExecStats,
-    scheme: InitScheme,
-}
-
-#[cfg(feature = "wide-lanes")]
-impl WideExecutor {
-    /// Packs two freshly initialized narrow executors — context A from
-    /// `seed_a`, context B from `seed_b` — into one wide register file.
-    /// Initialization draws are delegated to [`Executor::new`] so the
-    /// per-context state (and everything downstream of it) is bitwise
-    /// the state a narrow run would start from.
-    pub fn new(scheme: InitScheme, seed_a: u64, seed_b: u64) -> WideExecutor {
-        let a = Executor::new(scheme, seed_a);
-        let b = Executor::new(scheme, seed_b);
-        let mut wymm = [[0.0; WIDE_LANES]; 16];
-        for (r, reg) in wymm.iter_mut().enumerate() {
-            reg[..LANES].copy_from_slice(&a.ymm[r]);
-            reg[LANES..].copy_from_slice(&b.ymm[r]);
-        }
-        let mut buffers: [WideBuffer; 4] = std::array::from_fn(|_| {
-            vec![[0.0; WIDE_LANES]; BUF_ELEMS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("BUF_ELEMS wide slots")
-        });
-        for (lvl, buf) in buffers.iter_mut().enumerate() {
-            for (s, slot) in buf.iter_mut().enumerate() {
-                slot[..LANES].copy_from_slice(&a.buffers[lvl][s]);
-                slot[LANES..].copy_from_slice(&b.buffers[lvl][s]);
-            }
-        }
-        let buf_mask = std::array::from_fn(|_| {
-            vec![0u8; BUF_ELEMS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("BUF_ELEMS wide masks")
-        });
-        WideExecutor {
-            wymm,
-            gp: [0; 16],
-            wmask: [0; 16],
-            buffers,
-            buf_mask,
-            stats_a: ExecStats::default(),
-            stats_b: ExecStats::default(),
-            scheme,
-        }
-    }
-
-    /// The initialization scheme in use.
-    pub fn scheme(&self) -> InitScheme {
-        self.scheme
-    }
-
-    /// Per-context statistics so far: `(context A, context B)`.
-    pub fn stats_pair(&self) -> (&ExecStats, &ExecStats) {
-        (&self.stats_a, &self.stats_b)
-    }
-
-    /// Unpacks the wide file into the two contexts' register files.
-    pub fn registers_pair(&self) -> ([[f64; LANES]; 16], [[f64; LANES]; 16]) {
-        let mut a = [[0.0; LANES]; 16];
-        let mut b = [[0.0; LANES]; 16];
-        for r in 0..16 {
-            a[r].copy_from_slice(&self.wymm[r][..LANES]);
-            b[r].copy_from_slice(&self.wymm[r][LANES..]);
-        }
-        (a, b)
-    }
-
-    /// Packages the current state as two per-context
-    /// [`FunctionalOutcome`]s — each bitwise what the corresponding
-    /// narrow pass would produce.
-    pub fn outcome_pair(&self) -> (FunctionalOutcome, FunctionalOutcome) {
-        let (a, b) = self.registers_pair();
-        (
-            FunctionalOutcome {
-                stats: self.stats_a,
-                state_hash: state_hash_of(&a),
-                registers: a,
-            },
-            FunctionalOutcome {
-                stats: self.stats_b,
-                state_hash: state_hash_of(&b),
-                registers: b,
-            },
-        )
-    }
-
-    /// Flips one bit of one lane in context `ctx` (0 = A, 1 = B) —
-    /// fault injection matching [`Executor::inject_bit_flip`] on the
-    /// selected context, leaving the other untouched.
-    pub fn inject_bit_flip(&mut self, ctx: usize, reg: usize, lane: usize, bit: u32) {
-        let l = (ctx & 1) * LANES + lane % LANES;
-        let v = &mut self.wymm[reg % 16][l];
-        *v = f64::from_bits(v.to_bits() ^ (1u64 << (bit % 64)));
-        self.wmask[reg % 16] = mask8(&self.wymm[reg % 16]);
-    }
-
-    fn refresh_masks(&mut self) {
-        for (r, reg) in self.wymm.iter().enumerate() {
-            self.wmask[r] = mask8(reg);
-        }
-        for (masks, buf) in self.buf_mask.iter_mut().zip(&self.buffers) {
-            for (m, slot) in masks.iter_mut().zip(buf.iter()) {
-                *m = mask8(slot);
-            }
-        }
-    }
-
-    /// Shared-address slot resolution; identical arithmetic to
-    /// [`Executor::slot_fast`] over the shared GP file.
-    #[inline(always)]
-    fn slot_fast(&self, mem: &MemOp) -> usize {
-        let base = self.gp[mem.base as usize];
-        let idx = if mem.index_factor > 0 {
-            self.gp[mem.index_reg as usize].wrapping_mul(u64::from(mem.index_factor))
-        } else {
-            0
-        };
-        let addr = base.wrapping_add(idx).wrapping_add(mem.disp as i64 as u64);
-        ((addr / 32) as usize % SLOT_MOD) & (BUF_ELEMS - 1)
-    }
-
-    /// Replays a pre-decoded kernel over both packed contexts.
-    ///
-    /// Structure mirrors [`Executor::run_decoded`] with every FP body
-    /// widened from [`LANES`] to [`WIDE_LANES`] elements; per-op FP lane
-    /// accounting stays [`LANES`] per *context* (each context is one
-    /// narrow run), with triviality popcounts split nibble-wise.
-    pub fn run_decoded(&mut self, decoded: &DecodedKernel, iterations: u64) {
-        self.refresh_masks();
-        let mut fp_ops: u64 = 0;
-        let mut trivial_a: u64 = 0;
-        let mut trivial_b: u64 = 0;
-        for _ in 0..iterations {
-            for op in &decoded.ops {
-                match *op {
-                    MicroOp::Fma { dst, a, b } => {
-                        let di = ri(dst);
-                        let d = self.wymm[di];
-                        let x = self.wymm[ri(a)];
-                        let y = self.wymm[ri(b)];
-                        let tm = self.wmask[di] | self.wmask[ri(a)] | self.wmask[ri(b)];
-                        fp_ops += LANES as u64;
-                        trivial_a += u64::from((tm & 0xF).count_ones());
-                        trivial_b += u64::from((tm >> LANES).count_ones());
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = x[l].mul_add(y[l], d[l]);
-                        }
-                        self.wmask[di] = mask8(&out);
-                        self.wymm[di] = out;
-                    }
-                    MicroOp::FmaMem { dst, a, mem } => {
-                        let slot = self.slot_fast(&mem);
-                        let lvl = (mem.level & 3) as usize;
-                        let di = ri(dst);
-                        let d = self.wymm[di];
-                        let x = self.wymm[ri(a)];
-                        let y = self.buffers[lvl][slot];
-                        let tm = self.wmask[di] | self.wmask[ri(a)] | self.buf_mask[lvl][slot];
-                        fp_ops += LANES as u64;
-                        trivial_a += u64::from((tm & 0xF).count_ones());
-                        trivial_b += u64::from((tm >> LANES).count_ones());
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = x[l].mul_add(y[l], d[l]);
-                        }
-                        self.wmask[di] = mask8(&out);
-                        self.wymm[di] = out;
-                    }
-                    MicroOp::Mul { dst, a, b } => {
-                        let x = self.wymm[ri(a)];
-                        let y = self.wymm[ri(b)];
-                        let tm = self.wmask[ri(a)] | self.wmask[ri(b)];
-                        fp_ops += LANES as u64;
-                        trivial_a += u64::from((tm & 0xF).count_ones());
-                        trivial_b += u64::from((tm >> LANES).count_ones());
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = x[l] * y[l];
-                        }
-                        self.wmask[ri(dst)] = mask8(&out);
-                        self.wymm[ri(dst)] = out;
-                    }
-                    MicroOp::MulMem { dst, a, mem } => {
-                        let slot = self.slot_fast(&mem);
-                        let lvl = (mem.level & 3) as usize;
-                        let x = self.wymm[ri(a)];
-                        let y = self.buffers[lvl][slot];
-                        let tm = self.wmask[ri(a)] | self.buf_mask[lvl][slot];
-                        fp_ops += LANES as u64;
-                        trivial_a += u64::from((tm & 0xF).count_ones());
-                        trivial_b += u64::from((tm >> LANES).count_ones());
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = x[l] * y[l];
-                        }
-                        self.wmask[ri(dst)] = mask8(&out);
-                        self.wymm[ri(dst)] = out;
-                    }
-                    MicroOp::Add { dst, a, b } => {
-                        let x = self.wymm[ri(a)];
-                        let y = self.wymm[ri(b)];
-                        let tm = self.wmask[ri(a)] | self.wmask[ri(b)];
-                        fp_ops += LANES as u64;
-                        trivial_a += u64::from((tm & 0xF).count_ones());
-                        trivial_b += u64::from((tm >> LANES).count_ones());
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = x[l] + y[l];
-                        }
-                        self.wmask[ri(dst)] = mask8(&out);
-                        self.wymm[ri(dst)] = out;
-                    }
-                    MicroOp::AddMem { dst, a, mem } => {
-                        let slot = self.slot_fast(&mem);
-                        let lvl = (mem.level & 3) as usize;
-                        let x = self.wymm[ri(a)];
-                        let y = self.buffers[lvl][slot];
-                        let tm = self.wmask[ri(a)] | self.buf_mask[lvl][slot];
-                        fp_ops += LANES as u64;
-                        trivial_a += u64::from((tm & 0xF).count_ones());
-                        trivial_b += u64::from((tm >> LANES).count_ones());
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = x[l] + y[l];
-                        }
-                        self.wmask[ri(dst)] = mask8(&out);
-                        self.wymm[ri(dst)] = out;
-                    }
-                    MicroOp::Xor { dst, a, b } => {
-                        let x = self.wymm[ri(a)];
-                        let y = self.wymm[ri(b)];
-                        let mut out = [0.0; WIDE_LANES];
-                        for l in 0..WIDE_LANES {
-                            out[l] = f64::from_bits(x[l].to_bits() ^ y[l].to_bits());
-                        }
-                        self.wmask[ri(dst)] = mask8(&out);
-                        self.wymm[ri(dst)] = out;
-                    }
-                    MicroOp::Load { dst, mem } => {
-                        let slot = self.slot_fast(&mem);
-                        let lvl = (mem.level & 3) as usize;
-                        self.wmask[ri(dst)] = self.buf_mask[lvl][slot];
-                        self.wymm[ri(dst)] = self.buffers[lvl][slot];
-                    }
-                    MicroOp::Store { src, mem } => {
-                        let slot = self.slot_fast(&mem);
-                        let lvl = (mem.level & 3) as usize;
-                        self.buf_mask[lvl][slot] = self.wmask[ri(src)];
-                        self.buffers[lvl][slot] = self.wymm[ri(src)];
-                    }
-                    MicroOp::SqrtSd { dst, src } => {
-                        let si = ri(src);
-                        let di = ri(dst);
-                        let out_a = self.wymm[si][0].sqrt();
-                        let out_b = self.wymm[si][LANES].sqrt();
-                        self.wmask[di] = (self.wmask[di] & !0x11)
-                            | u8::from(is_trivial(out_a))
-                            | (u8::from(is_trivial(out_b)) << LANES);
-                        self.wymm[di][0] = out_a;
-                        self.wymm[di][LANES] = out_b;
-                    }
-                    MicroOp::MulSd { dst, src } => {
-                        let si = ri(src);
-                        let di = ri(dst);
-                        let tm = self.wmask[di] | self.wmask[si];
-                        fp_ops += 1;
-                        trivial_a += u64::from(tm & 1);
-                        trivial_b += u64::from((tm >> LANES) & 1);
-                        let out_a = self.wymm[di][0] * self.wymm[si][0];
-                        let out_b = self.wymm[di][LANES] * self.wymm[si][LANES];
-                        self.wmask[di] = (self.wmask[di] & !0x11)
-                            | u8::from(is_trivial(out_a))
-                            | (u8::from(is_trivial(out_b)) << LANES);
-                        self.wymm[di][0] = out_a;
-                        self.wymm[di][LANES] = out_b;
-                    }
-                    MicroOp::AddSd { dst, src } => {
-                        let si = ri(src);
-                        let di = ri(dst);
-                        let tm = self.wmask[di] | self.wmask[si];
-                        fp_ops += 1;
-                        trivial_a += u64::from(tm & 1);
-                        trivial_b += u64::from((tm >> LANES) & 1);
-                        let out_a = self.wymm[di][0] + self.wymm[si][0];
-                        let out_b = self.wymm[di][LANES] + self.wymm[si][LANES];
-                        self.wmask[di] = (self.wmask[di] & !0x11)
-                            | u8::from(is_trivial(out_a))
-                            | (u8::from(is_trivial(out_b)) << LANES);
-                        self.wymm[di][0] = out_a;
-                        self.wymm[di][LANES] = out_b;
-                    }
-                    MicroOp::GpXor { dst, src } => {
-                        self.gp[ri(dst)] ^= self.gp[ri(src)];
-                    }
-                    MicroOp::GpShl { dst, imm } => {
-                        let d = &mut self.gp[ri(dst)];
-                        *d = d.wrapping_shl(u32::from(imm));
-                    }
-                    MicroOp::GpShr { dst, imm } => {
-                        let d = &mut self.gp[ri(dst)];
-                        *d = d.wrapping_shr(u32::from(imm));
-                    }
-                    MicroOp::GpAddImm { dst, imm } => {
-                        let d = &mut self.gp[ri(dst)];
-                        *d = d.wrapping_add(imm as i64 as u64);
-                    }
-                    MicroOp::GpAdd { dst, src } => {
-                        let s = self.gp[ri(src)];
-                        let d = &mut self.gp[ri(dst)];
-                        *d = d.wrapping_add(s);
-                    }
-                    MicroOp::GpMovImm { dst, imm } => {
-                        self.gp[ri(dst)] = imm;
-                    }
-                    MicroOp::GpDec { dst } => {
-                        let d = &mut self.gp[ri(dst)];
-                        *d = d.wrapping_sub(1);
-                    }
-                }
-            }
-        }
-        self.stats_a.iterations += iterations;
-        self.stats_a.fp_lane_ops += fp_ops;
-        self.stats_a.trivial_lane_ops += trivial_a;
-        self.stats_b.iterations += iterations;
-        self.stats_b.fp_lane_ops += fp_ops;
-        self.stats_b.trivial_lane_ops += trivial_b;
-    }
-}
-
-/// Runs two complete functional passes of the same kernel — context A
-/// from `seed_a`, context B from `seed_b` — as one wide replay, and
-/// packages both [`FunctionalOutcome`]s. Each outcome is bitwise what
-/// [`run_functional`] would produce for the corresponding seed; the
-/// error-detection replay uses this to fold its two redundant passes
-/// into one loop over the micro-op table.
-#[cfg(feature = "wide-lanes")]
-pub fn run_functional_pair(
-    decoded: &DecodedKernel,
-    scheme: InitScheme,
-    seed_a: u64,
-    seed_b: u64,
-    iterations: u64,
-) -> (FunctionalOutcome, FunctionalOutcome) {
-    let mut ex = WideExecutor::new(scheme, seed_a, seed_b);
-    ex.run_decoded(decoded, iterations);
-    ex.outcome_pair()
 }
 
 #[cfg(test)]
@@ -1681,7 +1036,7 @@ mod tests {
     #[test]
     fn v2_init_stays_finite_and_nontrivial() {
         let mut ex = Executor::new(InitScheme::V2Safe, 42);
-        ex.run(&fma_kernel(), 10_000);
+        ex.run_decoded(&DecodedKernel::new(&fma_kernel()), 10_000);
         assert!(!ex.any_trivial_register());
         assert_eq!(ex.stats().trivial_lane_ops, 0);
         assert!(ex.stats().fp_lane_ops > 0);
@@ -1691,7 +1046,7 @@ mod tests {
     #[test]
     fn v174_bug_accumulates_to_infinity() {
         let mut ex = Executor::new(InitScheme::V174Buggy, 42);
-        ex.run(&fma_kernel(), 1_000);
+        ex.run_decoded(&DecodedKernel::new(&fma_kernel()), 1_000);
         assert!(ex.any_trivial_register());
         // Once saturated, nearly all subsequent FP work is trivial.
         assert!(
@@ -1706,8 +1061,8 @@ mod tests {
         let mut a = Executor::new(InitScheme::V2Safe, 7);
         let mut b = Executor::new(InitScheme::V2Safe, 7);
         let k = fma_kernel();
-        a.run(&k, 500);
-        b.run(&k, 500);
+        a.run_decoded(&DecodedKernel::new(&k), 500);
+        b.run_decoded(&DecodedKernel::new(&k), 500);
         assert_eq!(a.state_hash(), b.state_hash());
         assert_eq!(a.registers(), b.registers());
     }
@@ -1717,8 +1072,8 @@ mod tests {
         let mut a = Executor::new(InitScheme::V2Safe, 1);
         let mut b = Executor::new(InitScheme::V2Safe, 2);
         let k = fma_kernel();
-        a.run(&k, 10);
-        b.run(&k, 10);
+        a.run_decoded(&DecodedKernel::new(&k), 10);
+        b.run_decoded(&DecodedKernel::new(&k), 10);
         assert_ne!(a.state_hash(), b.state_hash());
     }
 
@@ -1727,14 +1082,14 @@ mod tests {
         let mut a = Executor::new(InitScheme::V2Safe, 7);
         let mut b = Executor::new(InitScheme::V2Safe, 7);
         let k = fma_kernel();
-        a.run(&k, 100);
-        b.run(&k, 100);
+        a.run_decoded(&DecodedKernel::new(&k), 100);
+        b.run_decoded(&DecodedKernel::new(&k), 100);
         assert_eq!(a.state_hash(), b.state_hash());
         b.inject_bit_flip(3, 1, 52);
         assert_ne!(a.state_hash(), b.state_hash());
         // Error is persistent: it stays detectable after more work.
-        a.run(&k, 100);
-        b.run(&k, 100);
+        a.run_decoded(&DecodedKernel::new(&k), 100);
+        b.run_decoded(&DecodedKernel::new(&k), 100);
         assert_ne!(a.state_hash(), b.state_hash());
     }
 
@@ -1769,7 +1124,7 @@ mod tests {
         ];
         let k = Kernel::new("ls", body, 1);
         let mut ex = Executor::new(InitScheme::V2Safe, 3);
-        ex.run(&k, 1);
+        ex.run_decoded(&DecodedKernel::new(&k), 1);
         assert_eq!(ex.registers()[0], ex.registers()[1]);
     }
 
@@ -1795,13 +1150,13 @@ mod tests {
         ];
         let k = Kernel::new("alu", body, 1);
         let mut ex = Executor::new(InitScheme::V2Safe, 3);
-        ex.run(&k, 1);
+        ex.run_decoded(&DecodedKernel::new(&k), 1);
         // 0x5555… << 1 = 0xAAAA…AAAA; xor with 0xAAAA… = 0.
         // (State is internal; replay by hand through public effects.)
         // Execute a second kernel that stores rax-dependent address: easier
         // to just verify via a store address — instead check determinism.
         let mut ex2 = Executor::new(InitScheme::V2Safe, 3);
-        ex2.run(&k, 1);
+        ex2.run_decoded(&DecodedKernel::new(&k), 1);
         assert_eq!(ex.state_hash(), ex2.state_hash());
     }
 
@@ -1821,33 +1176,17 @@ mod tests {
         // The lane-vectorized fast path must be indistinguishable from
         // the reference interpreter: same registers, buffers, stats, hash.
         let k = fma_kernel();
-        for seed in [1u64, 7, 42] {
-            let mut fast = Executor::new(InitScheme::V2Safe, seed);
-            let mut slow = Executor::new(InitScheme::V2Safe, seed);
-            fast.run(&k, 500);
-            slow.run_interpreted(&k, 500);
-            assert_eq!(fast.state_hash(), slow.state_hash());
-            assert_eq!(fast.registers(), slow.registers());
-            assert_eq!(fast.stats(), slow.stats());
-        }
-    }
-
-    #[test]
-    fn all_three_tiers_agree_bit_for_bit() {
-        let k = fma_kernel();
         let d = DecodedKernel::new(&k);
         for scheme in [InitScheme::V2Safe, InitScheme::V174Buggy] {
-            let mut soa = Executor::new(scheme, 9);
-            let mut base = Executor::new(scheme, 9);
-            let mut interp = Executor::new(scheme, 9);
-            soa.run_decoded(&d, 400);
-            base.run_predecoded(&d, 400);
-            interp.run_interpreted(&k, 400);
-            assert_eq!(soa.state_hash(), base.state_hash());
-            assert_eq!(soa.state_hash(), interp.state_hash());
-            assert_eq!(soa.stats(), base.stats());
-            assert_eq!(soa.stats(), interp.stats());
-            assert_eq!(soa.registers(), interp.registers());
+            for seed in [1u64, 7, 9, 42] {
+                let mut fast = Executor::new(scheme, seed);
+                let mut slow = Executor::new(scheme, seed);
+                fast.run_decoded(&d, 500);
+                slow.run_interpreted(&k, 500);
+                assert_eq!(fast.state_hash(), slow.state_hash());
+                assert_eq!(fast.registers(), slow.registers());
+                assert_eq!(fast.stats(), slow.stats());
+            }
         }
     }
 
@@ -1890,7 +1229,7 @@ mod tests {
         let k = Kernel::new("memmix", body, 1);
         let mut fast = Executor::new(InitScheme::V2Safe, 9);
         let mut slow = Executor::new(InitScheme::V2Safe, 9);
-        fast.run(&k, 300);
+        fast.run_decoded(&DecodedKernel::new(&k), 300);
         slow.run_interpreted(&k, 300);
         assert_eq!(fast.state_hash(), slow.state_hash());
         assert_eq!(fast.stats(), slow.stats());
@@ -1912,7 +1251,7 @@ mod tests {
         let mut b = Executor::new(InitScheme::V2Safe, 5);
         a.run_decoded(&d, 100);
         a.run_decoded(&d, 100);
-        b.run(&k, 200);
+        b.run_decoded(&DecodedKernel::new(&k), 200);
         assert_eq!(a.state_hash(), b.state_hash());
         assert_eq!(a.stats(), b.stats());
     }
@@ -1941,7 +1280,7 @@ mod tests {
         })];
         let k = Kernel::new("sqrt", body, 1);
         let mut ex = Executor::new(InitScheme::V2Safe, 5);
-        ex.run(&k, 200);
+        ex.run_decoded(&DecodedKernel::new(&k), 200);
         let v = ex.registers()[0][0];
         assert!((v - 1.0).abs() < 1e-9, "sqrt fixpoint = {v}");
     }

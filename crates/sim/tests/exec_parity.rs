@@ -1,6 +1,5 @@
-//! Decode/replay parity suite: the SoA lane-vectorized fast path
-//! ([`Executor::run_decoded`]), the first-generation micro-op baseline
-//! ([`Executor::run_predecoded`]) and the reference interpreter
+//! Decode/replay parity suite: the SoA lane-vectorized production path
+//! ([`Executor::run_decoded`]) and the oracle interpreter
 //! ([`Executor::run_interpreted`]) must be indistinguishable — same
 //! [`ExecStats`], same state hash, same register dumps — across every
 //! instruction variant, both init schemes, and fault injection.
@@ -162,26 +161,19 @@ fn observe(ex: &Executor) -> (u64, [[f64; fs2_sim::LANES]; 16], String, u64, u64
 }
 
 #[test]
-fn three_tiers_agree_on_every_inst_variant() {
+fn decoded_and_interpreted_agree_on_every_inst_variant() {
     let k = all_variants_kernel();
     let d = DecodedKernel::new(&k);
     for scheme in [InitScheme::V2Safe, InitScheme::V174Buggy] {
         for seed in [1u64, 42, 0xDEAD_BEEF] {
             let mut soa = Executor::new(scheme, seed);
-            let mut base = Executor::new(scheme, seed);
             let mut interp = Executor::new(scheme, seed);
             soa.run_decoded(&d, 257);
-            base.run_predecoded(&d, 257);
             interp.run_interpreted(&k, 257);
             assert_eq!(
                 observe(&soa),
                 observe(&interp),
                 "SoA vs interpreted diverged ({scheme:?}, seed {seed})"
-            );
-            assert_eq!(
-                observe(&base),
-                observe(&interp),
-                "predecoded vs interpreted diverged ({scheme:?}, seed {seed})"
             );
         }
     }

@@ -159,7 +159,7 @@ fn functional_execution_never_goes_trivial_with_v2_init() {
             },
         );
         let mut ex = firestarter2::sim::Executor::new(firestarter2::sim::InitScheme::V2Safe, seed);
-        ex.run(&payload.kernel, 500);
+        ex.run_decoded(&firestarter2::sim::DecodedKernel::new(&payload.kernel), 500);
         assert_eq!(
             ex.stats().trivial_lane_ops,
             0,
