@@ -1752,6 +1752,135 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bit patterns of `samples`.
+    fn fnv1a(samples: &[f64]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for b in samples.iter().flat_map(|w| w.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// Pinned outputs of one golden run.
+    struct Golden {
+        fnv: u64,
+        /// `(shed_ticks, deferred_ticks, truncated_proposals,
+        /// infeasible_floor_ticks)`, `None` without a budget.
+        budget: Option<([u64; 6], [u64; 6], u64, u64)>,
+        capped_samples: usize,
+        lag1_autocorr_bits: Option<u64>,
+    }
+
+    #[test]
+    fn budgeted_runs_reproduce_golden_streams() {
+        // Golden values recorded from the decision-matrix arbiter. The
+        // parity suites compare `run_with` against `run_reference`,
+        // which share the merge and the arbiter, so only pinned values
+        // can catch a merge bug that both paths would share.
+        let mut ragged = FleetConfig {
+            samples_per_node: 200,
+            temporal: TemporalMode::Episodes,
+            budget_w: Some(23.0 * 120.0),
+            budget_policy: BudgetPolicy::Defer,
+            ..FleetConfig::taurus_haswell_scaled(23)
+        };
+        ragged.groups[1].samples_per_node = Some(800);
+        let mut infeasible = ragged.clone();
+        infeasible.budget_w = Some(1500.0);
+        infeasible.budget_policy = BudgetPolicy::ShedToFloor;
+        let cases: [(&str, FleetConfig, Golden); 5] = [
+            (
+                "episodes + shed",
+                FleetConfig {
+                    samples_per_node: 300,
+                    temporal: TemporalMode::Episodes,
+                    budget_w: Some(2000.0),
+                    power_cap_w: Some(300.0),
+                    ..FleetConfig::taurus_haswell_scaled(16)
+                },
+                Golden {
+                    fnv: 0x538C2BE50E339C9E,
+                    budget: Some(([0, 34, 81, 57, 922, 16], [0; 6], 0, 0)),
+                    capped_samples: 918,
+                    lag1_autocorr_bits: Some(0x3FEEC27618F31330),
+                },
+            ),
+            (
+                "episodes + defer",
+                ragged,
+                Golden {
+                    fnv: 0x734EF95B8CF115E8,
+                    budget: Some(([0; 6], [0, 33, 81, 468, 1092, 41], 1715, 0)),
+                    capped_samples: 0,
+                    lag1_autocorr_bits: Some(0x3FEE4CA22E4FF60A),
+                },
+            ),
+            (
+                // Floors alone bust the budget until the thin nodes'
+                // horizon ends; the fat nodes then run unconstrained.
+                "episodes + shed, infeasible early ticks",
+                infeasible,
+                Golden {
+                    fnv: 0x931B9A98F3288E02,
+                    budget: Some(([0, 1095, 1000, 713, 1022, 126], [0; 6], 0, 200)),
+                    capped_samples: 0,
+                    lag1_autocorr_bits: Some(0x3FEF7B09C7C0F649),
+                },
+            ),
+            (
+                "iid + shed",
+                FleetConfig {
+                    samples_per_node: 200,
+                    budget_w: Some(1800.0),
+                    ..FleetConfig::taurus_haswell_scaled(16)
+                },
+                Golden {
+                    fnv: 0x6D1F703053CF4F35,
+                    budget: Some(([0, 48, 169, 308, 416, 57], [0; 6], 0, 0)),
+                    capped_samples: 0,
+                    lag1_autocorr_bits: None,
+                },
+            ),
+            (
+                "unbudgeted capped episodes",
+                FleetConfig {
+                    samples_per_node: 300,
+                    temporal: TemporalMode::Episodes,
+                    power_cap_w: Some(300.0),
+                    ..FleetConfig::taurus_haswell_scaled(16)
+                },
+                Golden {
+                    fnv: 0x2185D77DF861745D,
+                    budget: None,
+                    capped_samples: 918,
+                    lag1_autocorr_bits: Some(0x3FEF2D14AE514887),
+                },
+            ),
+        ];
+        for (label, cfg, want) in cases {
+            let run = FleetSim::new(cfg).run();
+            assert_eq!(fnv1a(&run.samples), want.fnv, "{label}: sample bits");
+            let budget = run.budget.as_ref().map(|b| {
+                (
+                    <[u64; 6]>::try_from(b.shed_ticks.as_slice()).expect("six states"),
+                    <[u64; 6]>::try_from(b.deferred_ticks.as_slice()).expect("six states"),
+                    b.truncated_proposals,
+                    b.infeasible_floor_ticks,
+                )
+            });
+            assert_eq!(budget, want.budget, "{label}: budget counters");
+            assert_eq!(
+                run.capped_samples, want.capped_samples,
+                "{label}: capped samples"
+            );
+            assert_eq!(
+                run.episodes.as_ref().map(|e| e.lag1_autocorr.to_bits()),
+                want.lag1_autocorr_bits,
+                "{label}: lag-1 autocorrelation"
+            );
+        }
+    }
+
     /// Per-tick fleet sums of a uniform-horizon run (samples are
     /// node-major: node `n`'s tick `t` sits at `n * spn + t`).
     fn tick_sums(samples: &[f64], spn: usize) -> Vec<f64> {
