@@ -169,8 +169,8 @@ fn main() {
     let ep_stats = ep_base.episodes.expect("episode stats");
 
     // Budget-arbitrated episode fleet: the tick-synchronous pass
-    // (shards propose in parallel, the merge arbitrates and applies
-    // serially) under a binding facility budget. Uniform horizon here
+    // (shards propose in parallel, the merge's serial arbiter writes
+    // the samples) under a binding facility budget. Uniform horizon here
     // — with the fat slice's 16k-tick tail, 87.5 % of the ticks would
     // have only 15 active nodes and the arbiter would mostly idle. All 128 nodes
     // stay active for all 2000 ticks, and 18 kW sits between the floor

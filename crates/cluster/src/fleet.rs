@@ -20,17 +20,17 @@
 //! into 4-node shards and fan them out over
 //! [`fs2_core::Engine::sweep_hinted`]; the fleet service scatters its
 //! own shard ranges on its worker pool. A shard proposes each node's
-//! full tick stream from its own `(seed, node_id)` RNG stream. The
-//! merge then (1) **arbitrates** — when [`FleetConfig::budget_w`] is
-//! set, a serial node-id-ordered fold ([`crate::budget`]) admits
-//! proposals against the remaining fleet budget per 60 s tick and
-//! sheds or defers the rest — and (2) **applies** the decisions to the
-//! streams in one serial pass. Every phase is deterministic, so the
-//! result is bitwise-identical for any thread count and shard split,
-//! and runs without a budget reproduce the historical sample streams
-//! byte for byte.
+//! full tick stream from its own `(seed, node_id)` RNG stream into the
+//! shard's flat proposal columns. Without a budget the merge
+//! concatenates those columns. When [`FleetConfig::budget_w`] is set,
+//! a serial node-id-ordered fold ([`crate::budget`]) admits proposals
+//! against the remaining fleet budget per 60 s tick, sheds or defers
+//! the rest, and writes every emitted sample itself. Every phase is
+//! deterministic, so the result is bitwise-identical for any thread
+//! count and shard split, and runs without a budget reproduce the
+//! historical sample streams byte for byte.
 
-use crate::budget::{arbitrate, Arbitration, BudgetPolicy, Decision, NodeStream};
+use crate::budget::{arbitrate, BudgetPolicy, NodeStream};
 use crate::episodes::{EpisodeModel, EpisodeWalk};
 use crate::jobs::JobMix;
 use fs2_core::{EngineRegistry, GroupEvalRequest, InitScheme, RegistryStats};
@@ -408,19 +408,6 @@ struct NodeItem {
     samples: u32,
 }
 
-/// Per-node propose-phase output: the proposal stream plus the walk's
-/// state accounting (episode mode) and the per-sample cap counter.
-struct NodeOut {
-    stream: NodeStream,
-    state_ticks: Vec<u64>,
-    episode_counts: Vec<u64>,
-    capped_samples: usize,
-}
-
-/// Per-node episode accounting carried past the propose phase:
-/// `(state_ticks, episode_counts)`.
-type NodeAccounting = (Vec<u64>, Vec<u64>);
-
 /// The request-shared generation plan built by [`FleetSim::plan`]:
 /// the engine-evaluated operating-point tables, the power-cap remap,
 /// the flattened sampling lanes and the per-node work items —
@@ -466,20 +453,47 @@ impl std::fmt::Debug for FleetPlan {
     }
 }
 
-/// One shard's propose-phase output ([`FleetSim::run_shard`]): the
-/// node range it covers plus either directly-filled samples
-/// (unbudgeted i.i.d. mode) or full per-node streams for the
-/// merge-side arbitrate/apply phases.
+/// One shard's propose-phase output ([`FleetSim::run_shard`]): one
+/// flat block of proposal columns for the `[lo, hi)` node range. Node
+/// `lo`'s horizon comes first, then node `lo + 1`'s, and so on; the
+/// plan's work items give each node's horizon and floor.
 pub struct FleetShard {
     lo: u32,
     hi: u32,
-    data: ShardData,
+    /// Proposed watts per node tick (the final samples when no budget
+    /// is set).
+    watts: Vec<f64>,
+    /// Episode state per node tick, parallel to `watts`; filled only
+    /// when [`FleetConfig::budget_w`] is set (the arbiter's counters
+    /// need it).
+    states: Vec<u16>,
+    /// Summed walk accounting of the range (episode mode only; empty
+    /// otherwise).
+    state_ticks: Vec<u64>,
+    episode_counts: Vec<u64>,
+    capped_samples: usize,
 }
 
 impl FleetShard {
     /// The `[lo, hi)` node range this shard covers.
     pub fn range(&self) -> (u32, u32) {
         (self.lo, self.hi)
+    }
+
+    /// Borrows the shard's columns as one proposal stream per node.
+    fn node_streams<'a>(&'a self, plan: &'a FleetPlan) -> impl Iterator<Item = NodeStream<'a>> {
+        let mut at = 0usize;
+        plan.items[self.lo as usize..self.hi as usize]
+            .iter()
+            .map(move |it| {
+                let span = at..at + it.samples as usize;
+                at = span.end;
+                NodeStream {
+                    floor_w: plan.lanes[it.sku_idx].floor_w,
+                    watts: &self.watts[span.clone()],
+                    states: &self.states[span],
+                }
+            })
     }
 }
 
@@ -515,17 +529,6 @@ impl std::fmt::Display for ShardTilingError {
 }
 
 impl std::error::Error for ShardTilingError {}
-
-enum ShardData {
-    /// Unbudgeted i.i.d. shards write final samples directly.
-    Samples {
-        samples: Vec<f64>,
-        capped_samples: usize,
-    },
-    /// Everything else keeps per-node streams: the fleet-global budget
-    /// arbitration and episode accounting happen at merge time.
-    Nodes(Vec<NodeOut>),
-}
 
 /// Splits `0..total_nodes` into at most `shards` contiguous,
 /// near-equal, non-empty ranges (fewer when the fleet has fewer nodes
@@ -857,12 +860,14 @@ impl FleetSim {
     pub fn run_reference(&self) -> FleetRun {
         let registry = EngineRegistry::with_seed(self.config.seed);
         let plan = self.plan(&registry);
-        let per_node = plan
-            .items
-            .iter()
-            .map(|item| self.propose_reference(&plan, item))
-            .collect();
-        self.finish(&registry, &plan, per_node)
+        let mut shard = self.empty_shard(&plan, 0, plan.total_nodes());
+        for item in &plan.items {
+            match self.config.temporal {
+                TemporalMode::Iid => self.propose_iid_reference(&plan, item, &mut shard),
+                TemporalMode::Episodes => self.propose_episode(&plan, item, &mut shard),
+            }
+        }
+        self.finish(&registry, &plan, vec![shard])
     }
 
     /// Builds the request-shared generation plan: one batched
@@ -1096,66 +1101,57 @@ impl FleetSim {
         }
     }
 
-    /// Proposes one node's stream through the batched composer (the
-    /// production path: flattened [`SkuLanes`] draws in i.i.d. mode,
-    /// the episode walk otherwise) for shards that keep per-node
-    /// streams.
-    fn propose_batched(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        match self.config.temporal {
-            TemporalMode::Iid => self.propose_iid_batched(plan, item),
-            TemporalMode::Episodes => self.propose_episode(plan, item),
+    /// An empty proposal block for the node range `[lo, hi)`, sized for
+    /// the range's samples and for the columns this config fills.
+    fn empty_shard(&self, plan: &FleetPlan, lo: u32, hi: u32) -> FleetShard {
+        let cfg = &self.config;
+        let total: usize = plan.items[lo as usize..hi as usize]
+            .iter()
+            .map(|it| it.samples as usize)
+            .sum();
+        let n_states = match cfg.temporal {
+            TemporalMode::Iid => 0,
+            TemporalMode::Episodes => cfg.episodes.n_states(),
+        };
+        FleetShard {
+            lo,
+            hi,
+            watts: Vec::with_capacity(total),
+            states: Vec::with_capacity(if cfg.budget_w.is_some() { total } else { 0 }),
+            state_ticks: vec![0; n_states],
+            episode_counts: vec![0; n_states],
+            capped_samples: 0,
         }
     }
 
-    /// Proposes one node's stream through the historical per-node
-    /// reference path (every draw walks the `JobMix`/`JobClass` API
-    /// and the nested power tables).
-    fn propose_reference(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        match self.config.temporal {
-            TemporalMode::Iid => self.propose_iid_reference(plan, item),
-            TemporalMode::Episodes => self.propose_episode(plan, item),
-        }
-    }
-
-    fn propose_iid_batched(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
-        // Unbudgeted i.i.d. shards fill their samples directly through
-        // `lockstep_fill`; this arm feeds the budget arbiter, which
-        // needs the state labels.
+    /// Proposes one node's i.i.d. stream through the batched composer
+    /// into `shard`. Unbudgeted i.i.d. shards fill their samples
+    /// directly through `lockstep_fill`; this path feeds the budget
+    /// arbiter, which needs the state labels.
+    fn propose_iid_batched(&self, plan: &FleetPlan, item: &NodeItem, shard: &mut FleetShard) {
         let cap = self.config.cap_w;
         let l = &plan.lanes[item.sku_idx];
-        let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
         // Per-node RNG streams keep generation order-independent.
         let mut rng = rng_for(self.config.seed, item.node_id);
         for _ in 0..item.samples {
             let (p, ci, remapped) = l.draw(&mut rng);
-            capped_samples += usize::from(remapped);
-            watts.push(p.min(cap));
+            shard.capped_samples += usize::from(remapped);
+            shard.watts.push(p.min(cap));
             // fs2-lint: allow(checked-cast) -- class index < catalogue size (JobMix validates); hot per-sample loop
-            states.push((ci + 1) as u16);
-        }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: l.floor_w,
-                watts,
-                states,
-            },
-            state_ticks: Vec::new(),
-            episode_counts: Vec::new(),
-            capped_samples,
+            shard.states.push((ci + 1) as u16);
         }
     }
 
-    fn propose_iid_reference(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+    /// Proposes one node's i.i.d. stream through the historical
+    /// per-node reference path (every draw walks the `JobMix`/`JobClass`
+    /// API and the nested power tables) into `shard`.
+    fn propose_iid_reference(&self, plan: &FleetPlan, item: &NodeItem, shard: &mut FleetShard) {
         let cap = self.config.cap_w;
+        let budgeted = self.config.budget_w.is_some();
         let mix = &self.config.mix;
         let idle = plan.idle_w[item.sku_idx];
         let rows = &plan.table[item.sku_idx];
         let remap = &plan.remap[item.sku_idx];
-        let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
         let mut rng = rng_for(self.config.seed, item.node_id);
         for _ in 0..item.samples {
             let ci = mix.pick_idx(&mut rng);
@@ -1164,35 +1160,27 @@ impl FleetSim {
             let drawn = class.draw_pstate(&mut rng);
             let pstate = remap[ci][drawn];
             if pstate != drawn {
-                capped_samples += 1;
+                shard.capped_samples += 1;
             }
             let load = rows[ci][pstate];
             debug_assert!(!load.is_nan());
-            watts.push((idle + duty * (load - idle)).min(cap));
-            // fs2-lint: allow(checked-cast) -- class index < catalogue size (JobMix validates); hot per-sample loop
-            states.push((ci + 1) as u16);
-        }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: idle.min(cap),
-                watts,
-                states,
-            },
-            state_ticks: Vec::new(),
-            episode_counts: Vec::new(),
-            capped_samples,
+            shard.watts.push((idle + duty * (load - idle)).min(cap));
+            if budgeted {
+                // fs2-lint: allow(checked-cast) -- class index < catalogue size (JobMix validates); hot per-sample loop
+                shard.states.push((ci + 1) as u16);
+            }
         }
     }
 
-    fn propose_episode(&self, plan: &FleetPlan, item: &NodeItem) -> NodeOut {
+    /// Proposes one node's episode walk into `shard` and adds the
+    /// walk's state accounting to the shard's sums.
+    fn propose_episode(&self, plan: &FleetPlan, item: &NodeItem, shard: &mut FleetShard) {
         let cfg = &self.config;
         let cap = cfg.cap_w;
+        let budgeted = cfg.budget_w.is_some();
         let idle = plan.idle_w[item.sku_idx];
         let rows = &plan.table[item.sku_idx];
         let remap = &plan.remap[item.sku_idx];
-        let mut capped_samples = 0usize;
-        let mut watts = Vec::with_capacity(item.samples as usize);
-        let mut states = Vec::with_capacity(item.samples as usize);
         let mut walk = EpisodeWalk::new(&cfg.episodes, &cfg.mix, cfg.seed, item.node_id);
         for _ in 0..item.samples {
             let t = walk.next_tick();
@@ -1201,119 +1189,103 @@ impl FleetSim {
                 Some(ci) => {
                     let pstate = remap[ci][t.pstate];
                     if pstate != t.pstate {
-                        capped_samples += 1;
+                        shard.capped_samples += 1;
                     }
                     let load = rows[ci][pstate];
                     debug_assert!(!load.is_nan());
                     idle + t.duty * (load - idle)
                 }
             };
-            watts.push(p.min(cap));
-            // fs2-lint: allow(checked-cast) -- episode state index is bounded by the class count; hot per-sample loop
-            states.push(t.state as u16);
+            shard.watts.push(p.min(cap));
+            if budgeted {
+                // fs2-lint: allow(checked-cast) -- episode state index is bounded by the class count; hot per-sample loop
+                shard.states.push(t.state as u16);
+            }
         }
-        NodeOut {
-            stream: NodeStream {
-                floor_w: idle.min(cap),
-                watts,
-                states,
-            },
-            state_ticks: walk.state_ticks().to_vec(),
-            episode_counts: walk.episode_counts().to_vec(),
-            capped_samples,
-        }
+        add_counts(&mut shard.state_ticks, walk.state_ticks());
+        add_counts(&mut shard.episode_counts, walk.episode_counts());
     }
 
-    /// Arbitrate and apply over already-proposed node streams:
-    /// arbitrate the fleet budget in node-id order, apply decisions,
-    /// and fold the episode/budget accounting. Shared by the shard
-    /// merge and the serial reference, so both produce identical
-    /// bytes.
+    /// Turns node-ordered shards that tile the plan into the run: the
+    /// proposal columns are the samples when no budget is set, and the
+    /// arbiter's output otherwise. Shared by the shard merge and the
+    /// serial reference, so both produce identical bytes.
     fn finish(
         &self,
         registry: &EngineRegistry,
         plan: &FleetPlan,
-        per_node: Vec<NodeOut>,
+        shards: Vec<FleetShard>,
     ) -> FleetRun {
         let cfg = &self.config;
         let classes = cfg.mix.classes();
 
-        // Per-sample cap accounting is summed in node input order, so
-        // the total is identical for any shard split.
-        let capped_samples: usize = per_node.iter().map(|n| n.capped_samples).sum();
-        let (streams, accounting): (Vec<NodeStream>, Vec<NodeAccounting>) = per_node
-            .into_iter()
-            .map(|n| (n.stream, (n.state_ticks, n.episode_counts)))
-            .unzip();
-
-        // Arbitrate (serial): fold the proposals against the fleet
-        // budget in node-id order. Skipped entirely without a budget,
-        // which keeps the historical streams byte-stable.
-        let n_states = classes.len() + 1;
-        let arbitration: Option<Arbitration> = cfg
-            .budget_w
-            .map(|b| arbitrate(&streams, b, cfg.budget_policy, n_states));
-
-        // Apply: decisions become samples, written node by node
-        // straight into the fleet buffer. With no budget every decision
-        // is trivially "admit", so each watts column is copied as is.
-        let mut samples = Vec::with_capacity(streams.iter().map(|s| s.watts.len()).sum());
-        match &arbitration {
-            None => {
-                for stream in &streams {
-                    samples.extend_from_slice(&stream.watts);
-                }
-            }
-            Some(arb) => {
-                for (stream, row) in streams.iter().zip(&arb.decisions) {
-                    samples.extend(row.iter().map(|d| match d {
-                        Decision::Admit(k) => stream.watts[*k as usize],
-                        Decision::Floor => stream.floor_w,
-                    }));
-                }
-            }
+        // The counters are integers, so their sums do not depend on the
+        // shard split.
+        let capped_samples: usize = shards.iter().map(|s| s.capped_samples).sum();
+        let mut state_ticks = vec![0u64; cfg.episodes.n_states()];
+        let mut episode_counts = vec![0u64; cfg.episodes.n_states()];
+        for s in &shards {
+            add_counts(&mut state_ticks, &s.state_ticks);
+            add_counts(&mut episode_counts, &s.episode_counts);
         }
 
+        let (samples, budget) = match cfg.budget_w {
+            None => {
+                // The proposals are the samples: move a lone block,
+                // concatenate several.
+                let mut blocks: Vec<Vec<f64>> = shards.into_iter().map(|s| s.watts).collect();
+                let samples = match blocks.len() {
+                    1 => blocks.pop().expect("one block"),
+                    _ => blocks.concat(),
+                };
+                (samples, None)
+            }
+            Some(budget_w) => {
+                // Arbitrate (serial): fold the proposals against the
+                // fleet budget in node-id order.
+                let streams: Vec<NodeStream<'_>> =
+                    shards.iter().flat_map(|s| s.node_streams(plan)).collect();
+                let arb = arbitrate(&streams, budget_w, cfg.budget_policy, classes.len() + 1);
+                let ticks = arb.tick_draw_w.len();
+                let peak_fleet_w = arb.tick_draw_w.iter().copied().fold(0.0, f64::max);
+                let mean_fleet_w = if ticks == 0 {
+                    0.0
+                } else {
+                    arb.tick_draw_w.iter().sum::<f64>() / ticks as f64
+                };
+                let util: Vec<f64> = arb.tick_draw_w.iter().map(|&d| d / budget_w).collect();
+                let mut states = vec!["floor"];
+                states.extend(classes.iter().map(|(c, _)| c.name));
+                let stats = BudgetStats {
+                    budget_w,
+                    policy: cfg.budget_policy,
+                    ticks,
+                    peak_fleet_w,
+                    mean_fleet_w,
+                    shed_ticks: arb.shed_ticks,
+                    deferred_ticks: arb.deferred_ticks,
+                    truncated_proposals: arb.truncated_proposals,
+                    infeasible_floor_ticks: arb.infeasible_floor_ticks,
+                    utilization: PowerCdf::from_samples(&util, 0.005),
+                    states,
+                };
+                (arb.samples, Some(stats))
+            }
+        };
+
         let episode_stats = (cfg.temporal == TemporalMode::Episodes).then(|| {
-            // Every node emits exactly its horizon, `watts.len()`
-            // samples, budgeted or not.
+            // Every node emits exactly its horizon, budgeted or not.
             let mut rest = samples.as_slice();
-            let per_node: Vec<&[f64]> = streams
+            let per_node: Vec<&[f64]> = plan
+                .items
                 .iter()
-                .map(|s| {
-                    let (head, tail) = rest.split_at(s.watts.len());
+                .map(|it| {
+                    let (head, tail) = rest.split_at(it.samples as usize);
                     rest = tail;
                     head
                 })
                 .collect();
-            aggregate_episode_stats(&cfg.episodes, &accounting, &per_node)
-        });
-
-        let budget = arbitration.map(|arb| {
-            let budget_w = cfg.budget_w.expect("arbitration implies a budget");
-            let ticks = arb.tick_draw_w.len();
-            let peak_fleet_w = arb.tick_draw_w.iter().copied().fold(0.0, f64::max);
-            let mean_fleet_w = if ticks == 0 {
-                0.0
-            } else {
-                arb.tick_draw_w.iter().sum::<f64>() / ticks as f64
-            };
-            let util: Vec<f64> = arb.tick_draw_w.iter().map(|&d| d / budget_w).collect();
-            let mut states = vec!["floor"];
-            states.extend(classes.iter().map(|(c, _)| c.name));
-            BudgetStats {
-                budget_w,
-                policy: cfg.budget_policy,
-                ticks,
-                peak_fleet_w,
-                mean_fleet_w,
-                shed_ticks: arb.shed_ticks,
-                deferred_ticks: arb.deferred_ticks,
-                truncated_proposals: arb.truncated_proposals,
-                infeasible_floor_ticks: arb.infeasible_floor_ticks,
-                utilization: PowerCdf::from_samples(&util, 0.005),
-                states,
-            }
+            aggregate_episode_stats(&cfg.episodes, &state_ticks, &episode_counts, &per_node)
         });
 
         FleetRun {
@@ -1334,9 +1306,9 @@ impl FleetSim {
     /// node's stream is a pure function of `(seed, node_id)`, a shard
     /// proposes exactly the bytes the serial run would have produced
     /// for those nodes, and [`FleetSim::merge_shards`] reassembles the
-    /// full run bitwise-identically. Unbudgeted i.i.d. shards write
-    /// their samples directly, drawing four nodes in lockstep; every
-    /// other shard keeps per-node streams for the merge-side arbiter.
+    /// full run bitwise-identically. Unbudgeted i.i.d. shards draw four
+    /// nodes in lockstep; every shard writes one flat block of
+    /// proposal columns.
     pub fn run_shard(&self, plan: &FleetPlan, lo: u32, hi: u32) -> FleetShard {
         let cfg = &self.config;
         assert!(
@@ -1345,35 +1317,36 @@ impl FleetSim {
             plan.items.len()
         );
         let nodes = &plan.items[lo as usize..hi as usize];
-        let data = if cfg.temporal == TemporalMode::Iid && cfg.budget_w.is_none() {
-            // Direct fill, chunked into lockstep units from `lo`.
-            let total: usize = nodes.iter().map(|n| n.samples as usize).sum();
-            let mut samples = vec![0.0f64; total];
-            let mut capped_samples = 0usize;
-            let mut rest = samples.as_mut_slice();
-            let mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = Vec::with_capacity(4);
-            let mut it = nodes.iter().peekable();
-            while it.peek().is_some() {
-                for n in it.by_ref().take(LOCKSTEP_NODES as usize) {
-                    let (head, tail) = rest.split_at_mut(n.samples as usize);
-                    rest = tail;
-                    parts.push((&plan.lanes[n.sku_idx], rng_for(cfg.seed, n.node_id), head));
+        let mut shard = self.empty_shard(plan, lo, hi);
+        match (cfg.temporal, cfg.budget_w) {
+            (TemporalMode::Iid, None) => {
+                // Direct fill, chunked into lockstep units from `lo`.
+                let total = nodes.iter().map(|n| n.samples as usize).sum();
+                shard.watts.resize(total, 0.0);
+                let mut rest = shard.watts.as_mut_slice();
+                let mut parts: Vec<(&SkuLanes, StdRng, &mut [f64])> = Vec::with_capacity(4);
+                let mut it = nodes.iter().peekable();
+                while it.peek().is_some() {
+                    for n in it.by_ref().take(LOCKSTEP_NODES as usize) {
+                        let (head, tail) = rest.split_at_mut(n.samples as usize);
+                        rest = tail;
+                        parts.push((&plan.lanes[n.sku_idx], rng_for(cfg.seed, n.node_id), head));
+                    }
+                    shard.capped_samples += lockstep_fill(std::mem::take(&mut parts), cfg.cap_w);
                 }
-                capped_samples += lockstep_fill(std::mem::take(&mut parts), cfg.cap_w);
             }
-            ShardData::Samples {
-                samples,
-                capped_samples,
+            (TemporalMode::Iid, Some(_)) => {
+                for it in nodes {
+                    self.propose_iid_batched(plan, it, &mut shard);
+                }
             }
-        } else {
-            ShardData::Nodes(
-                nodes
-                    .iter()
-                    .map(|it| self.propose_batched(plan, it))
-                    .collect(),
-            )
-        };
-        FleetShard { lo, hi, data }
+            (TemporalMode::Episodes, _) => {
+                for it in nodes {
+                    self.propose_episode(plan, it, &mut shard);
+                }
+            }
+        }
+        shard
     }
 
     /// Merges shard results back into one [`FleetRun`].
@@ -1394,9 +1367,9 @@ impl FleetSim {
 
     /// Like [`FleetSim::merge_shards`], but a shard set that fails to
     /// tile the plan's node range is a typed [`ShardTilingError`]
-    /// instead of a panic. Streams concatenate in node-id order and
-    /// the shared `finish` phase arbitrates and aggregates, so the
-    /// merged run is byte-identical to [`FleetSim::run`] for every
+    /// instead of a panic. The blocks are taken in node-id order and
+    /// the shared `finish` phase concatenates or arbitrates them, so
+    /// the merged run is byte-identical to [`FleetSim::run`] for every
     /// shard split.
     pub fn try_merge_shards(
         &self,
@@ -1423,48 +1396,7 @@ impl FleetSim {
                 total_nodes: plan.items.len(),
             });
         }
-
-        if shards
-            .iter()
-            .all(|s| matches!(s.data, ShardData::Samples { .. }))
-        {
-            // Fast-path shards: samples are final, concatenate.
-            let mut samples = Vec::with_capacity(self.config.total_samples());
-            let mut capped_samples = 0usize;
-            for s in shards {
-                match s.data {
-                    ShardData::Samples {
-                        samples: mut part,
-                        capped_samples: c,
-                    } => {
-                        samples.append(&mut part);
-                        capped_samples += c;
-                    }
-                    ShardData::Nodes(_) => unreachable!(),
-                }
-            }
-            return Ok(FleetRun {
-                samples,
-                registry: registry.stats(),
-                power_table: plan.power_table.clone(),
-                episodes: None,
-                capped_points: plan.capped_points,
-                capped_samples,
-                infeasible_points: plan.infeasible_points,
-                budget: None,
-            });
-        }
-
-        let per_node: Vec<NodeOut> = shards
-            .into_iter()
-            .flat_map(|s| match s.data {
-                ShardData::Nodes(nodes) => nodes,
-                ShardData::Samples { .. } => {
-                    unreachable!("mixed shard kinds cannot arise from run_shard")
-                }
-            })
-            .collect();
-        Ok(self.finish(registry, plan, per_node))
+        Ok(self.finish(registry, plan, shards))
     }
 
     /// Generates all 60 s-mean samples for the fleet.
@@ -1478,31 +1410,30 @@ impl FleetSim {
     }
 }
 
-/// Folds per-node walk accounting `(state_ticks, episode_counts)` and
-/// the emitted sample streams into fleet-wide episode statistics.
-/// Nodes are visited in input order, so the result is identical for
-/// any shard split. The state shares and dwells describe the
-/// *proposed* walks; the autocorrelation measures the emitted stream
-/// (post-arbitration when a budget is set).
+/// Adds per-state counters `part` into `sum`, element by element.
+fn add_counts(sum: &mut [u64], part: &[u64]) {
+    for (a, &b) in sum.iter_mut().zip(part) {
+        *a += b;
+    }
+}
+
+/// Folds the fleet's summed walk accounting and the emitted per-node
+/// sample streams into fleet-wide episode statistics. Nodes are
+/// visited in input order, so the result is identical for any shard
+/// split. The state shares and dwells describe the *proposed* walks;
+/// the autocorrelation measures the emitted stream (post-arbitration
+/// when a budget is set).
 fn aggregate_episode_stats(
     model: &EpisodeModel,
-    accounting: &[NodeAccounting],
+    ticks: &[u64],
+    episodes: &[u64],
     per_node_samples: &[&[f64]],
 ) -> EpisodeStats {
-    let n = model.n_states();
-    let mut ticks = vec![0u64; n];
-    let mut episodes = vec![0u64; n];
     // Pooled lag-1 autocorrelation: per-node centering, fleet-wide
     // numerator/denominator (constant-power nodes contribute nothing).
     let mut num = 0.0f64;
     let mut den = 0.0f64;
-    for ((state_ticks, episode_counts), &s) in accounting.iter().zip(per_node_samples) {
-        for (a, b) in ticks.iter_mut().zip(state_ticks) {
-            *a += b;
-        }
-        for (a, b) in episodes.iter_mut().zip(episode_counts) {
-            *a += b;
-        }
+    for &s in per_node_samples {
         if s.len() >= 2 {
             let mean = s.iter().sum::<f64>() / s.len() as f64;
             den += s.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>();
@@ -1525,7 +1456,7 @@ fn aggregate_episode_stats(
         .collect();
     let mean_dwell_ticks = ticks
         .iter()
-        .zip(&episodes)
+        .zip(episodes)
         .map(|(&t, &e)| if e == 0 { 0.0 } else { t as f64 / e as f64 })
         .collect();
     EpisodeStats {
@@ -1667,23 +1598,24 @@ mod tests {
         let mix = JobMix::taurus_haswell();
         let model = EpisodeModel::taurus_haswell(&mix);
         let n = model.n_states();
-        let acct = |ticks: u64| -> NodeAccounting { (vec![ticks; n], vec![1; n]) };
+        let ticks = |per_state: u64| vec![per_state; n];
+        let ones = vec![1; n];
         // Constant streams: positive length, zero variance.
         let stats =
-            aggregate_episode_stats(&model, &[acct(5), acct(5)], &[&[120.0; 5], &[80.5; 5]]);
+            aggregate_episode_stats(&model, &ticks(10), &ticks(2), &[&[120.0; 5], &[80.5; 5]]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(!stats.lag1_autocorr.is_nan());
         // Streams too short for a lag-1 pair.
-        let stats = aggregate_episode_stats(&model, &[acct(1)], &[&[97.0]]);
+        let stats = aggregate_episode_stats(&model, &ticks(1), &ones, &[&[97.0]]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         // Empty fleet: no nodes, no ticks, shares all zero.
-        let stats = aggregate_episode_stats(&model, &[], &[]);
+        let stats = aggregate_episode_stats(&model, &ticks(0), &ticks(0), &[]);
         assert_eq!(stats.lag1_autocorr, 0.0);
         assert!(stats.empirical_shares.iter().all(|&s| s == 0.0));
         // A varying stream still measures nonzero correlation (the
         // guard must not clamp legitimate statistics to zero).
         let ramp: Vec<f64> = (0..64).map(|i| 50.0 + f64::from(i)).collect();
-        let stats = aggregate_episode_stats(&model, &[acct(64)], &[&ramp]);
+        let stats = aggregate_episode_stats(&model, &ticks(64), &ones, &[&ramp]);
         assert!(stats.lag1_autocorr > 0.8);
     }
 

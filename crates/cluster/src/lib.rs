@@ -33,17 +33,18 @@
 //! *sum* of node draws per 60 s tick, with a pluggable
 //! [`budget::BudgetPolicy`] that sheds denied node-minutes to the idle
 //! floor or defers the episode's remaining ticks. Generation is a
-//! tick-synchronous propose → arbitrate → apply pass: shards propose,
-//! the merge arbitrates and applies serially. It stays
-//! bitwise-identical across thread counts and shard splits, and
-//! byte-stable when no budget is set.
+//! tick-synchronous propose → arbitrate pass: shards propose into flat
+//! per-range columns, and the merge either concatenates them (no
+//! budget) or runs the serial arbiter, which writes every emitted
+//! sample. It stays bitwise-identical across thread counts and shard
+//! splits, and byte-stable when no budget is set.
 
 pub mod budget;
 pub mod episodes;
 pub mod fleet;
 pub mod jobs;
 
-pub use budget::{Arbitration, BudgetPolicy, Decision, NodeStream};
+pub use budget::{Arbitration, BudgetPolicy, NodeStream};
 pub use episodes::{EpisodeModel, EpisodeWalk, Tick};
 pub use fleet::{
     shard_ranges, BudgetStats, ClassPower, EpisodeStats, FleetConfig, FleetPlan, FleetRun,

@@ -17,9 +17,9 @@ use std::thread::JoinHandle;
 /// One in-flight brokered request: the wire line and where to push
 /// the reply line.
 #[derive(Debug)]
-pub struct BrokerJob {
-    pub line: String,
-    pub reply_to: Arc<MetricQueue<String>>,
+struct BrokerJob {
+    line: String,
+    reply_to: Arc<MetricQueue<String>>,
 }
 
 /// A broker bound to one [`FleetService`].
@@ -80,16 +80,6 @@ impl Broker {
             })
             .ok()?;
         reply_to.pop_wait()
-    }
-
-    /// Submits without waiting; the caller drains `reply_to` later.
-    pub fn post(&self, line: impl Into<String>, reply_to: Arc<MetricQueue<String>>) -> bool {
-        self.requests
-            .push_wait(BrokerJob {
-                line: line.into(),
-                reply_to,
-            })
-            .is_ok()
     }
 }
 

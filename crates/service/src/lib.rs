@@ -43,7 +43,7 @@ pub mod tcp;
 pub mod timing;
 
 pub use admission::{AdmissionConfig, AdmissionError, AdmissionStats, Gate, Permit};
-pub use broker::{Broker, BrokerJob};
+pub use broker::Broker;
 pub use chaos::{ChaosConfig, ChaosState};
 pub use json::{Json, JsonError};
 pub use pool::{PoolStats, ShardError, WorkerPool};

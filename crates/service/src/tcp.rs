@@ -484,20 +484,33 @@ pub fn call(addr: &str, line: &str) -> Result<String, ClientError> {
 
 /// [`call`], retried on a fresh connection per [`RetryPolicy`]: the
 /// resilient client path. Timeouts, eofs (dropped replies, mid-stream
-/// disconnects), and connect errors all retry; the last error is
-/// returned if every attempt fails.
+/// disconnects), and connect errors all retry, and so does a
+/// [`kind::SHARD_PANIC`] reply (an injected or real shard panic is
+/// gone by the next attempt). When every attempt fails, the last
+/// shard-panic reply is returned if one arrived, else the last error.
 pub fn call_with_retry(addr: &str, line: &str, policy: RetryPolicy) -> Result<String, ClientError> {
+    let mut panicked = None;
     let mut last = None;
     for attempt in 0..policy.attempts.max(1) {
         if attempt > 0 {
             std::thread::sleep(millis(policy.backoff_ms(attempt - 1)));
         }
         match Client::connect(addr).and_then(|mut c| c.request(line)) {
+            Ok(reply) if is_shard_panic(&reply) => panicked = Some(reply),
             Ok(reply) => return Ok(reply),
             Err(e) => last = Some(e),
         }
     }
-    Err(last.unwrap_or(ClientError::Eof))
+    panicked.ok_or_else(|| last.unwrap_or(ClientError::Eof))
+}
+
+/// Whether `reply` is a [`kind::SHARD_PANIC`] failure. Only error
+/// replies can contain the kind's name (samples are numbers), so the
+/// substring test skips decoding every successful reply.
+fn is_shard_panic(reply: &str) -> bool {
+    reply.contains(kind::SHARD_PANIC)
+        && FleetReply::from_line(reply)
+            .is_ok_and(|r| !r.ok && r.error_kind.as_deref() == Some(kind::SHARD_PANIC))
 }
 
 #[cfg(test)]

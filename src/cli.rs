@@ -653,6 +653,9 @@ fn write_sample_bits(path: &str, samples: &[f64]) -> Result<(), CliError> {
 /// Renders a service reply exactly like the historical one-shot
 /// `--fleet` output (the CDF is recomputed client-side from the
 /// returned samples, so local and served runs print the same bytes).
+/// The one exception is the `exec caches:` line: its counters are
+/// service-wide, so a long-lived server reports hits earned by every
+/// request it has served, not just this one.
 fn print_fleet_reply(
     cfg: &CliConfig,
     req: &fs2_service::FleetRequest,
@@ -875,8 +878,7 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
         .as_deref()
         .expect("Connect action implies --connect");
     let req = fleet_request_from_cli(cfg)?;
-    // Retry on transport failures AND on transient typed failures
-    // (an injected/real shard panic is gone by the next attempt).
+    // Retry on transport failures and on shard-panic replies.
     // ClientError's Display says *which* transport failure was hit — a
     // stalled server ("timed out …") reads differently from a vanished
     // one ("connection closed before a reply arrived").
@@ -884,44 +886,14 @@ fn run_connect(cfg: &CliConfig) -> Result<String, CliError> {
         attempts: cfg.retries,
         ..fs2_service::RetryPolicy::default()
     };
-    let attempts = policy.attempts.max(1);
-    let suffix = || {
-        if cfg.retries > 1 {
+    let line = fs2_service::call_with_retry(addr, &req.to_line(), policy).map_err(|e| {
+        let suffix = if cfg.retries > 1 {
             format!(" after {} attempts", cfg.retries)
         } else {
             String::new()
-        }
-    };
-    let mut line = None;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(
-                policy.backoff_ms(attempt - 1),
-            ));
-        }
-        match fs2_service::call(addr, &req.to_line()) {
-            Ok(got) => {
-                let transient = fs2_service::FleetReply::from_line(&got)
-                    .map(|r| {
-                        !r.ok
-                            && r.error_kind.as_deref()
-                                == Some(fs2_service::proto::kind::SHARD_PANIC)
-                    })
-                    .unwrap_or(false);
-                line = Some(got);
-                if !transient {
-                    break;
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    let line = match (line, last_err) {
-        (Some(line), _) => line,
-        (None, Some(e)) => return Err(err(format!("--connect {addr}{}: {e}", suffix()))),
-        (None, None) => return Err(err(format!("--connect {addr}: no attempts made"))),
-    };
+        };
+        err(format!("--connect {addr}{suffix}: {e}"))
+    })?;
     let reply = fs2_service::FleetReply::from_line(&line).map_err(|e| err(e.to_string()))?;
     if let Some(path) = &cfg.dump_samples {
         if reply.ok {

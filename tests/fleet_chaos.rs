@@ -197,14 +197,21 @@ fn deadline_pressure_keeps_the_queue_bounded_and_the_ledger_balanced() {
 #[test]
 fn dropped_replies_are_absorbed_by_the_retry_client_bitwise() {
     // The server drops every 2nd reply mid-stream (closes the socket
-    // after doing the work). A retrying client must converge on bytes
-    // identical to the one-shot library run.
+    // after doing the work) and panics a shard of every 3rd request. A
+    // retrying client must converge on bytes identical to the one-shot
+    // library run: a shard-panic reply is retried like a lost one.
     let service = Arc::new(FleetService::new(chaotic_config(ChaosConfig {
         seed: 77,
         drop_reply_every: 2,
+        panic_every: 3,
         ..ChaosConfig::default()
     })));
-    let server = serve_with(service, "127.0.0.1:0", TransportConfig::default()).unwrap();
+    let server = serve_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        TransportConfig::default(),
+    )
+    .unwrap();
     let addr = server.local_addr().to_string();
 
     let want = bits(&FleetSim::new(request(29).to_config()).run().samples);
@@ -221,6 +228,9 @@ fn dropped_replies_are_absorbed_by_the_retry_client_bitwise() {
         assert!(reply.ok, "{:?}", reply.error);
         assert_eq!(want, bits(&reply.samples), "round {round} diverged");
     }
+    let chaos = service.chaos().expect("chaos enabled");
+    assert!(chaos.panics_injected() > 0, "no shard panic was retried");
+    assert!(chaos.drops_injected() > 0, "no dropped reply was retried");
     server.shutdown();
 }
 
