@@ -463,9 +463,10 @@ pub struct FleetShard {
     /// Proposed watts per node tick (the final samples when no budget
     /// is set).
     watts: Vec<f64>,
-    /// Episode state per node tick, parallel to `watts`; filled only
-    /// when [`FleetConfig::budget_w`] is set (the arbiter's counters
-    /// need it).
+    /// State label per node tick (0 = idle floor, `1..` = job
+    /// classes), parallel to `watts`; filled only when
+    /// [`FleetConfig::budget_w`] is set (the arbiter's counters need
+    /// it).
     states: Vec<u16>,
     /// Summed walk accounting of the range (episode mode only; empty
     /// otherwise).
